@@ -379,7 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--precision", type=int, default=10, help="significant digits for real values"
     )
     common.add_argument(
-        "--threads", type=int, default=1, help="shard width for range scans (results identical)"
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for range scans, >= 1 (results identical)",
     )
 
     p = argparse.ArgumentParser(
@@ -437,6 +440,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     func: Callable[[argparse.Namespace, TextIO], None] = args.func
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         if args.output is None:
             func(args, sys.stdout)
         else:

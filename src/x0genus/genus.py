@@ -37,11 +37,20 @@ from .arith import Factorization, SpfTable, factorize, primes_up_to
 # silently grinding.  Overridable via the environment for bigger sessions.
 DEFAULT_BRUTE_CEILING = 10**6
 BRUTE_CEILING_ENV = "X0GENUS_BRUTE_CEILING"
+# nu2_brute and nu3_brute square every residue x < n in int64, and
+# x*x + x + 1 stays below 2**63 exactly while x <= isqrt(2**63 - 1); larger
+# n are refused whatever the ceiling.
+RESIDUE_SCAN_LIMIT = isqrt(2**63 - 1) + 1
 
 # Fixed segment width for batch scans.  Sharding over segments of this size
 # is what --threads parallelizes; keeping the width constant makes every
 # aggregate bit-identical regardless of thread count.
 SEGMENT = 1 << 17
+
+# breakdown_block applies primes up to this one with strided slices, one
+# prime at a time; a larger prime hits a segment at most SEGMENT / 2048 = 64
+# times, and all of those primes are sieved together (see _hits).
+SMALL_PRIME_LIMIT = SEGMENT >> 6
 
 
 class ConsistencyError(RuntimeError):
@@ -137,14 +146,14 @@ def nu_infinity(f: Factorization) -> int:
 
 def nu2_brute(n: int, ceiling: int | None = None) -> int:
     """Count x in Z/nZ with x^2 + 1 = 0 by exhaustive scan."""
-    _check_brute(n, ceiling)
+    _check_brute(n, ceiling, RESIDUE_SCAN_LIMIT)
     x = np.arange(n, dtype=np.int64)
     return int(np.count_nonzero((x * x + 1) % n == 0))
 
 
 def nu3_brute(n: int, ceiling: int | None = None) -> int:
     """Count x in Z/nZ with x^2 + x + 1 = 0 by exhaustive scan."""
-    _check_brute(n, ceiling)
+    _check_brute(n, ceiling, RESIDUE_SCAN_LIMIT)
     x = np.arange(n, dtype=np.int64)
     return int(np.count_nonzero((x * x + x + 1) % n == 0))
 
@@ -164,9 +173,13 @@ def nu_infinity_brute(n: int, ceiling: int | None = None) -> int:
     return total
 
 
-def _check_brute(n: int, ceiling: int | None) -> None:
+def _check_brute(n: int, ceiling: int | None, int64_limit: int | None = None) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if int64_limit is not None and n > int64_limit:
+        raise ValueError(
+            f"n={n} exceeds {int64_limit}, the largest n whose residue scan fits int64"
+        )
     limit = _brute_ceiling() if ceiling is None else ceiling
     if n > limit:
         raise ValueError(
@@ -237,6 +250,22 @@ class GenusBlock:
         )
 
 
+def _hits(lo: int, hi: int, steps: np.ndarray):
+    """Every multiple of every step in [lo, hi].
+
+    Returns the window index of each multiple, the position in `steps` of
+    the step it belongs to, and a mask of the steps with at least one
+    multiple.  The multiples of one step are listed in ascending order, the
+    steps one after another.
+    """
+    offset = -lo % steps  # window index of the first multiple
+    count = (hi - lo - offset) // steps + 1  # 0 when that is past hi
+    owner = np.repeat(np.arange(steps.size), count)
+    # k-th multiple of its step: position in the list minus its run's start
+    k = np.arange(owner.size, dtype=np.int64) - (np.cumsum(count) - count)[owner]
+    return offset[owner] + k * steps[owner], owner, count > 0
+
+
 def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> GenusBlock:
     """Compute all five quantities for every level in [lo, hi] at once.
 
@@ -244,6 +273,22 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     powers out of every level in the window while accumulating the closed
     forms; whatever remains of a level afterwards is 1 or a single large
     prime, absorbed in one vectorized pass at the end.
+
+    The primes fall into two classes.  Small primes, p <= SMALL_PRIME_LIMIT,
+    hit many levels each and are applied one at a time with strided slices.
+    Large primes hit a window a few times or not at all, so a loop over them
+    would cost one Python iteration per prime for almost no work; instead
+    every multiple of every large prime in the window is listed at once
+    (_hits), and the factors go in with unbuffered ufunc.at calls, which
+    stay correct when several large primes divide one level.  Higher powers
+    take one such pass per exponent j, over the primes with p**j <= hi
+    whose power p**(j-1) divides some level of the window.
+
+    Every update is exact integer arithmetic: mu loses p before gaining
+    p + 1, nu_inf loses theta(p, j-1) before gaining theta(p, j), and rem
+    loses p, each division applied to a value that the divisor divides.  So
+    the order in which primes, or the hits of one pass, are applied cannot
+    change a value, and no intermediate exceeds the level's final value.
     """
     if lo < 1:
         raise ValueError(f"need lo >= 1, got {lo}")
@@ -251,6 +296,8 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
         raise ValueError(f"empty range [{lo}, {hi}]")
     if primes is None:
         primes = primes_up_to(isqrt(hi))
+    primes = primes[: np.searchsorted(primes, isqrt(hi), side="right")]
+    n_small = np.searchsorted(primes, SMALL_PRIME_LIMIT, side="right")
     size = hi - lo + 1
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     mu_a = rem.copy()
@@ -258,10 +305,8 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     nu3_a = np.ones(size, dtype=np.int64)
     nui_a = np.ones(size, dtype=np.int64)
 
-    for p in primes:
+    for p in primes[:n_small]:
         p = int(p)
-        if p * p > hi:
-            break
         start = ((lo + p - 1) // p) * p
         if start > hi:
             continue
@@ -302,6 +347,31 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
             pj *= p
             j += 1
 
+    # large primes, all at once: pass j lifts theta(p, j-1) to theta(p, j)
+    # and divides rem by p at every level divisible by p**j, as above
+    large = primes[n_small:]
+    pj = large
+    j = 1
+    while large.size:
+        idx, owner, hit = _hits(lo, hi, pj)
+        p = large[owner]
+        if j == 1:
+            # p is neither 2 nor 3, so nu2 and nu3 gain a factor 2 or 0
+            np.floor_divide.at(mu_a, idx, p)
+            np.multiply.at(mu_a, idx, p + 1)
+            np.multiply.at(nu2_a, idx, np.where(p % 4 == 1, 2, 0))
+            np.multiply.at(nu3_a, idx, np.where(p % 3 == 1, 2, 0))
+            np.multiply.at(nui_a, idx, 2)
+        else:
+            np.floor_divide.at(nui_a, idx, theta(p, j - 1))
+            np.multiply.at(nui_a, idx, theta(p, j))
+        np.floor_divide.at(rem, idx, p)
+        # p**(j+1) can divide a level only if p**j did
+        large, pj = large[hit], pj[hit]
+        keep = pj <= hi // large
+        large, pj = large[keep], pj[keep] * large[keep]
+        j += 1
+
     # leftover cofactor is 1 or a prime > sqrt(hi), always to the first power
     big = rem > 1
     if np.any(big):
@@ -332,18 +402,22 @@ def iter_blocks(
 
     Segmentation is fixed by `segment`, never by `threads`; worker count
     only changes how many segments are in flight, so every consumer sees
-    the same blocks in the same order.
+    the same blocks in the same order.  `threads` must be at least 1; the
+    pool gets no more workers than there are CPUs or segments.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if hi < lo:
         return
     primes = primes_up_to(isqrt(hi))
     starts = range(lo, hi + 1, segment)
-    if threads <= 1:
+    workers = min(threads, os.cpu_count() or 1, len(starts))
+    if workers <= 1:
         for a in starts:
             yield breakdown_block(a, min(a + segment - 1, hi), primes)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window = threads * 2
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = workers * 2
         pending = []
         it = iter(starts)
         for a in it:

@@ -4,7 +4,9 @@ mu(N) = N * prod_{p | N} (1 + 1/p) equals the divisor sum
 sum_{d | N, d squarefree} N/d, and nu_inf(N) = sum_{d | N} phi(gcd(d, N/d)).
 Both sums sieve over d in O(limit log limit), touching none of the
 multiplicative machinery they are meant to check.  The growth constants are
-solved again from their defining equations at 50 digits with mpmath.
+solved again from their defining equations at 50 digits with mpmath.  The
+block sieve's earlier form, one strided pass per prime, is kept here as the
+reference for the current one.
 """
 
 from __future__ import annotations
@@ -119,3 +121,69 @@ def growth_constants_mp() -> dict:
             "b": b,
             "c": b / (2 - 2 * root_b),
         }
+
+
+def breakdown_block_strided(lo: int, hi: int, primes=None):
+    """breakdown_block as one strided pass per prime p <= sqrt(hi).
+
+    This is the package's block sieve before large primes were sieved
+    together: every prime, however few levels of [lo, hi] it hits, strips
+    its powers with numpy slices of stride p**j.  It returns a GenusBlock.
+    """
+    from x0genus.arith import primes_up_to
+    from x0genus.genus import GenusBlock, theta
+
+    if primes is None:
+        primes = primes_up_to(isqrt(hi))
+    size = hi - lo + 1
+    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    mu_a = rem.copy()
+    nu2_a = np.ones(size, dtype=np.int64)
+    nu3_a = np.ones(size, dtype=np.int64)
+    nui_a = np.ones(size, dtype=np.int64)
+    for p in primes:
+        p = int(p)
+        if p * p > hi:
+            break
+        start = ((lo + p - 1) // p) * p
+        if start > hi:
+            continue
+        sl = slice(start - lo, size, p)
+        mu_a[sl] = mu_a[sl] // p * (p + 1)
+        if p == 2:
+            s4 = ((lo + 3) // 4) * 4
+            if s4 <= hi:
+                nu2_a[s4 - lo :: 4] = 0
+        elif p % 4 == 1:
+            nu2_a[sl] *= 2
+        else:
+            nu2_a[sl] = 0
+        if p == 3:
+            s9 = ((lo + 8) // 9) * 9
+            if s9 <= hi:
+                nu3_a[s9 - lo :: 9] = 0
+        elif p % 3 == 1:
+            nu3_a[sl] *= 2
+        else:
+            nu3_a[sl] = 0
+        pj, j, th_prev = p, 1, 1
+        while pj <= hi:
+            start_j = ((lo + pj - 1) // pj) * pj
+            if start_j > hi:
+                break
+            slj = slice(start_j - lo, size, pj)
+            th = theta(p, j)
+            nui_a[slj] = nui_a[slj] // th_prev * th
+            rem[slj] //= p
+            th_prev = th
+            pj *= p
+            j += 1
+    big = rem > 1
+    r = rem[big]
+    mu_a[big] = mu_a[big] // r * (r + 1)
+    nui_a[big] *= 2
+    nu2_a[big] *= np.where(r % 4 == 1, 2, np.where(r % 4 == 3, 0, 1))
+    nu3_a[big] *= np.where(r % 3 == 1, 2, np.where(r % 3 == 2, 0, 1))
+    twelve_g = mu_a - 3 * nu2_a - 4 * nu3_a - 6 * nui_a + 12
+    assert not np.any(twelve_g % 12), "12 does not divide the genus numerator"
+    return GenusBlock(lo, hi, mu_a, nu2_a, nu3_a, nui_a, twelve_g // 12)

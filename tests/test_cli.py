@@ -194,6 +194,20 @@ def test_invalid_input_exits_1():
         assert out == ""
 
 
+def test_threads_below_one_exits_1(tmp_path):
+    target = tmp_path / "out.csv"
+    for argv in (
+        ["table", "--max", "100", "--threads", "0"],
+        ["bounds", "--max", "100", "--threads", "-2"],
+        ["genus", "11", "--threads", "0", "--output", str(target)],
+    ):
+        code, out, err = run(argv)
+        assert code == 1, argv
+        assert err.startswith("error: --threads must be >= 1"), err
+        assert out == ""
+    assert not target.exists()
+
+
 def test_usage_errors_exit_2():
     for argv in ([], ["frobnicate"], ["genus", "abc"], ["table"]):
         with pytest.raises(SystemExit) as exc:

@@ -5,12 +5,19 @@ factorization, the vectorized block sieve, and definition-level oracles
 (exhaustive residue scans, divisor sums).
 """
 
+import importlib
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from x0genus.arith import build_spf_table, factorize
+from x0genus.arith import Factorization, build_spf_table, factorize
 from x0genus.genus import (
+    RESIDUE_SCAN_LIMIT,
     SEGMENT,
+    SMALL_PRIME_LIMIT,
     GenusBreakdown,
     breakdown_block,
     breakdown_from_factorization,
@@ -27,7 +34,12 @@ from x0genus.genus import (
     nu_infinity_brute,
     theta,
 )
-from oracles import mu_divisor_sum, nu_inf_divisor_sum
+from oracles import breakdown_block_strided, mu_divisor_sum, nu_inf_divisor_sum
+
+# the package re-exports the function genus, which shadows the submodule
+genus_module = importlib.import_module("x0genus.genus")
+
+FIELDS = ("mu", "nu2", "nu3", "nu_inf", "genus")
 
 # (n, mu, nu2, nu3, nu_inf, genus), each checked by hand via
 # 12*(g - 1) = mu - 3*nu2 - 4*nu3 - 6*nu_inf
@@ -159,3 +171,150 @@ def test_genus_table_concatenates():
     t = genus_table(SEGMENT + 77)
     assert (t.lo, t.hi) == (1, SEGMENT + 77)
     assert t.breakdown(SEGMENT + 77) == genus(SEGMENT + 77)
+
+
+def test_brute_scans_refuse_int64_overflow(monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("residue array allocated before the refusal")
+
+    monkeypatch.setenv("X0GENUS_BRUTE_CEILING", str(10**12))
+    monkeypatch.setattr(genus_module.np, "arange", no_alloc)
+    for scan in (nu2_brute, nu3_brute):
+        with pytest.raises(ValueError, match=str(RESIDUE_SCAN_LIMIT)):
+            scan(RESIDUE_SCAN_LIMIT + 1)
+        with pytest.raises(ValueError, match=str(RESIDUE_SCAN_LIMIT)):
+            scan(RESIDUE_SCAN_LIMIT + 1, ceiling=10**12)
+    # the largest residue the scan squares still fits: (n-1)^2 + (n-1) + 1 < 2^63
+    x = RESIDUE_SCAN_LIMIT - 1
+    assert x * x + x + 1 < 2**63 <= (x + 1) ** 2
+
+
+def _assert_blocks_equal(got, want):
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    for name in FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# first levels of iter_blocks(1, ...) segments: a window around one of them
+# straddles a segment cut
+def _cut_near(height):
+    return 1 + (height // SEGMENT) * SEGMENT
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (_cut_near(10**8) - 4000, _cut_near(10**8) + 4000),
+        (_cut_near(10**10) - 2500, _cut_near(10**10) + 1500),
+        (_cut_near(10**12), _cut_near(10**12) + SEGMENT - 1),
+    ],
+)
+def test_block_matches_strided_oracle_at_height(lo, hi):
+    _assert_blocks_equal(breakdown_block(lo, hi), breakdown_block_strided(lo, hi))
+
+
+def test_iter_blocks_match_strided_oracle_across_a_cut():
+    lo = 10**10 - 3000
+    hi = lo + SEGMENT + 2999
+    blocks = list(iter_blocks(lo, hi))
+    assert len(blocks) == 2
+    want = breakdown_block_strided(lo, hi)
+    for name in FIELDS:
+        got = np.concatenate([getattr(b, name) for b in blocks])
+        assert np.array_equal(got, getattr(want, name)), name
+
+
+# levels whose large prime factors (p > SMALL_PRIME_LIMIT) share a level or
+# divide it more than once, up to two large squares in one level; 2053, 2089
+# and 2113 are 1 mod 12, so they keep nu2 and nu3 alive, while 2063 (3 mod 4,
+# 2 mod 3) and 2069 (2 mod 3) zero them
+LARGE_PRIME_LEVELS = [
+    ((2053, 1), (2063, 1)),
+    ((2053, 1), (2089, 1), (2113, 1)),
+    ((13, 1), (2053, 1), (2089, 1)),
+    ((2053, 1), (2069, 1), (2113, 1)),
+    ((999979, 1), (999983, 1)),
+    ((2053, 2),),
+    ((2053, 2), (2063, 1)),
+    ((2053, 3),),
+    ((2, 1), (2053, 3)),
+    ((2053, 3), (2089, 1)),
+    ((2053, 4),),
+    ((2053, 2), (2063, 2)),
+    ((999983, 2),),
+    ((5, 2), (4099, 2)),
+]
+
+
+@pytest.mark.parametrize("factors", LARGE_PRIME_LEVELS)
+def test_levels_with_several_large_prime_factors(factors):
+    assert max(p for p, _ in factors) > SMALL_PRIME_LIMIT
+    n = 1
+    for p, e in factors:
+        n *= p**e
+    want = breakdown_from_factorization(Factorization(n, factors))
+    blk = breakdown_block(n - 40, n + 40)
+    assert blk.breakdown(n) == want
+    if n < 10**11:
+        _assert_blocks_equal(blk, breakdown_block_strided(n - 40, n + 40))
+
+
+# a height of d + 1 digits for a drawn d, so every decade from 1e6 (where
+# the other block tests stop) to 1e12 is hit
+HEIGHTS = st.integers(6, 11).flatmap(lambda d: st.integers(10**d, 10**(d + 1)))
+# short windows, and windows a little past SEGMENT that iter_blocks cuts in two
+WIDTHS = st.one_of(st.integers(1, 3000), st.integers(SEGMENT - 50, SEGMENT + 3000))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(HEIGHTS, WIDTHS, st.data())
+def test_blocks_match_independent_factorization(lo, width, data):
+    sympy = pytest.importorskip("sympy")
+    picks = st.lists(st.integers(0, width - 1), min_size=1, max_size=40)
+    offsets = {0, width - 1, *data.draw(picks)}
+    blocks = list(iter_blocks(lo, lo + width - 1))
+    for off in sorted(offsets):
+        n = lo + off
+        blk = blocks[off // SEGMENT]
+        f = Factorization(n, tuple(sorted(sympy.factorint(n).items())))
+        assert blk.breakdown(n) == breakdown_from_factorization(f)
+
+
+def test_iter_blocks_threads_validated_and_clamped(monkeypatch):
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            list(iter_blocks(1, 100, threads=bad))
+    pool_sizes = []
+
+    class InlinePool:
+        """ThreadPoolExecutor stand-in that runs each task on submit."""
+
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(genus_module, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(genus_module.os, "cpu_count", lambda: 4)
+    serial = list(iter_blocks(1, 1000, segment=100))
+    # 10 segments, 4 CPUs: the CPU count caps the pool
+    clamped = list(iter_blocks(1, 1000, segment=100, threads=10**9))
+    # 3 segments: the segment count caps it
+    list(iter_blocks(1, 300, segment=100, threads=10**9))
+    assert pool_sizes == [4, 3]
+    for a, b in zip(serial, clamped):
+        _assert_blocks_equal(a, b)
+    # one CPU or one segment: no pool at all
+    monkeypatch.setattr(genus_module.os, "cpu_count", lambda: None)
+    list(iter_blocks(1, 1000, segment=100, threads=8))
+    list(iter_blocks(1, 100, segment=100, threads=8))
+    assert pool_sizes == [4, 3]
