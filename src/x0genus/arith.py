@@ -1,14 +1,10 @@
 """Prime sieves, factorization, and elementary arithmetic functions.
 
 Everything downstream (genus formulas, bound checks, density scans) reduces
-to prime factorizations.  Two strategies are provided:
-
-* trial division up to sqrt(n) for isolated queries, and
-* a smallest-prime-factor table for batch ranges, where each factorization
-  is O(log n) table lookups.
-
-All levels handled here fit comfortably in 64 bits (the batch targets stay
-below ~10**8), so plain int64 arithmetic is used throughout.
+to prime factorizations.  Isolated levels are factored by trial division up
+to sqrt(n); whole ranges never are, since the segmented block sieve in
+genus.py strips the primes from every level of a window at once, with the
+primes from primes_up_to.
 """
 
 from __future__ import annotations
@@ -18,11 +14,6 @@ from functools import lru_cache
 from math import isqrt
 
 import numpy as np
-
-# One int32 per integer: a table up to 10**8 costs ~400 MB.  That is the
-# practical ceiling on ordinary hardware; larger ranges should be processed
-# in segments instead of through one table.
-SPF_TABLE_CEILING = 2 * 10**8
 
 
 @dataclass(frozen=True)
@@ -80,63 +71,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-@dataclass(frozen=True)
-class SpfTable:
-    """Smallest-prime-factor table for 2 <= m <= limit.
-
-    table[m] is the least prime dividing m (so table[m] == m exactly for
-    primes).  Immutable after construction; safe to share across workers.
-    """
-
-    limit: int
-    table: np.ndarray
-
-    def spf(self, m: int) -> int:
-        if not 2 <= m <= self.limit:
-            raise ValueError(f"{m} outside table range [2, {self.limit}]")
-        return int(self.table[m])
-
-    def is_prime(self, m: int) -> bool:
-        return m >= 2 and self.spf(m) == m
-
-    def factorize(self, m: int) -> Factorization:
-        """Factor m via repeated table lookups, O(log m)."""
-        if m < 1:
-            raise ValueError(f"cannot factor {m}: need m >= 1")
-        if m > self.limit:
-            raise ValueError(f"{m} exceeds table limit {self.limit}")
-        n = m
-        factors = []
-        while m > 1:
-            p = int(self.table[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        return Factorization(n, tuple(factors))
-
-
-def build_spf_table(limit: int) -> SpfTable:
-    """Sieve smallest prime factors for every integer up to limit."""
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    if limit > SPF_TABLE_CEILING:
-        raise ValueError(
-            f"limit {limit} exceeds memory ceiling {SPF_TABLE_CEILING}"
-        )
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.nonzero(untouched)[0]
-    spf[1] = 1
-    return SpfTable(limit, spf)
-
-
 @lru_cache(maxsize=8)
 def primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as an int64 array."""
@@ -165,12 +99,3 @@ def euler_phi(f: Factorization) -> int:
         phi *= p ** (e - 1) * (p - 1)
     return phi
 
-
-def phi_table(limit: int) -> np.ndarray:
-    """phi(m) for all 0 <= m <= limit (phi[0] defined as 0)."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in primes_up_to(limit):
-        phi[p::p] -= phi[p::p] // p
-    if limit >= 0:
-        phi[0] = 0
-    return phi

@@ -7,8 +7,7 @@ fixed flags; --threads changes wall time, never a digit.
 
 Exit codes: 0 success; 1 invalid input or capacity refusal; 2 usage
 error (unknown subcommand, malformed flag); 3 internal consistency
-fault.  The X0GENUS_BRUTE_CEILING environment variable raises the size
-ceiling of the brute-force oracles.
+fault.
 """
 
 from __future__ import annotations
@@ -18,169 +17,76 @@ import csv
 import json
 import sys
 from dataclasses import asdict, replace
-from typing import Any, Callable, Optional, TextIO
+from typing import Any, Callable, Iterable, Optional, TextIO, get_args, get_origin, get_type_hints
 
 from . import bounds, stats, values
-from .genus import ConsistencyError, genus as genus_breakdown, iter_blocks
+from .genus import ConsistencyError, GenusBreakdown, genus as genus_breakdown, iter_blocks
 
 TABLE_COLUMNS = ("n", "mu", "nu2", "nu3", "nu_inf", "genus")
 
-_INTS = {"type": "array", "items": {"type": "integer"}}
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
-# one declared schema per subcommand; json output validates against these
-SCHEMAS: dict[str, dict[str, Any]] = {
-    "genus": {
+
+def _property(hint: Any) -> dict[str, Any]:
+    """JSON schema of one field from its type hint.
+
+    int, float, bool and str map to their JSON types, Optional[X] to
+    [X, "null"] and tuple[X, ...] to an array of X; a dict is taken as a
+    ready schema.
+    """
+    if isinstance(hint, dict):
+        return hint
+    if get_origin(hint) is tuple:
+        return {"type": "array", "items": _property(get_args(hint)[0])}
+    args = [a for a in get_args(hint) if a is not type(None)]
+    if len(args) == 1:
+        return {"type": [_JSON_TYPES[args[0]], "null"]}
+    return {"type": _JSON_TYPES[hint]}
+
+
+def _schema(hints: dict[str, Any]) -> dict[str, Any]:
+    """A closed object schema requiring every field, in the order given."""
+    properties = {k: _property(h) for k, h in hints.items()}
+    return {
         "type": "object",
-        "properties": {c: {"type": "integer"} for c in TABLE_COLUMNS},
-        "required": list(TABLE_COLUMNS),
+        "properties": properties,
+        "required": list(properties),
         "additionalProperties": False,
-    },
-    "table": {
-        "type": "object",
-        "properties": {
-            "max": {"type": "integer"},
-            "columns": {"type": "array", "items": {"type": "string"}},
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {"type": "integer"},
-                    "minItems": 6,
-                    "maxItems": 6,
-                },
-            },
-        },
-        "required": ["max", "columns", "rows"],
-        "additionalProperties": False,
-    },
-    "missed": {
-        "type": "object",
-        "properties": {
-            "x": {"type": "integer"},
-            "scan_limit": {"type": "integer"},
-            "missed": _INTS,
-            "attained_count": {"type": "integer"},
-            "odd_missed": _INTS,
-            "first_odd_position": {"type": ["integer", "null"]},
-        },
-        "required": [
-            "x",
-            "scan_limit",
-            "missed",
-            "attained_count",
-            "odd_missed",
-            "first_odd_position",
-        ],
-        "additionalProperties": False,
-    },
-    "parity": {
-        "type": "object",
-        "properties": {
-            "max": {"type": "integer"},
-            "mismatches": _INTS,
-            "ok": {"type": "boolean"},
-        },
-        "required": ["max", "mismatches", "ok"],
-        "additionalProperties": False,
-    },
-    "bounds": {
-        "type": "object",
-        "properties": {
-            "max": {"type": "integer"},
-            "violations": _INTS,
-            "mu_over_12_violations": _INTS,
-            "equality_levels": _INTS,
-            "expected_equality_levels": _INTS,
-            "ok": {"type": "boolean"},
-        },
-        "required": [
-            "max",
-            "violations",
-            "mu_over_12_violations",
-            "equality_levels",
-            "expected_equality_levels",
-            "ok",
-        ],
-        "additionalProperties": False,
-    },
-    "average": {
-        "type": "object",
-        "properties": {
-            "bound": {"type": "integer"},
-            "avg_ratio": {"type": "number"},
-            "avg_genus_over_b": {"type": "number"},
-            "target": {"type": "number"},
-        },
-        "required": ["bound", "avg_ratio", "avg_genus_over_b", "target"],
-        "additionalProperties": False,
-    },
-    "density": {
-        "type": "object",
-        "properties": {
-            "ell": {"type": "integer"},
-            "exact_value": {"type": "number"},
-            "truncation_error": {"type": "number"},
-            "prime_limit": {"type": "integer"},
-            "empirical_frequency": {"type": ["number", "null"]},
-            "sample_bound": {"type": ["integer", "null"]},
-        },
-        "required": [
-            "ell",
-            "exact_value",
-            "truncation_error",
-            "prime_limit",
-            "empirical_frequency",
-            "sample_bound",
-        ],
-        "additionalProperties": False,
-    },
-    "histogram": {
-        "type": "object",
-        "properties": {
-            "ell": {"type": "integer"},
-            "bound": {"type": "integer"},
-            "counts": _INTS,
-            "flagged": _INTS,
-            "two_primitive_root": {"type": "boolean"},
-            "enrichment_holds": {"type": ["boolean", "null"]},
-        },
-        "required": [
-            "ell",
-            "bound",
-            "counts",
-            "flagged",
-            "two_primitive_root",
-            "enrichment_holds",
-        ],
-        "additionalProperties": False,
-    },
-    "constants": {
-        "type": "object",
-        "properties": {k: {"type": "number"} for k in ("A", "B", "a0", "b", "c")},
-        "required": ["A", "B", "a0", "b", "c"],
-        "additionalProperties": False,
-    },
-    "dirichlet": {
-        "type": "object",
-        "properties": {
-            "s": {"type": "number"},
-            "n_terms": {"type": "integer"},
-            "lhs": {"type": "number"},
-            "rhs": {"type": "number"},
-            "gap": {"type": "number"},
-            "tail_bound": {"type": "number"},
-            "rhs_error": {"type": "number"},
-            "ok": {"type": "boolean"},
-        },
-        "required": ["s", "n_terms", "lhs", "rhs", "gap", "tail_bound", "rhs_error", "ok"],
-        "additionalProperties": False,
-    },
+    }
+
+
+_TABLE_ROW = {
+    "type": "array",
+    "items": {"type": "integer"},
+    "minItems": len(TABLE_COLUMNS),
+    "maxItems": len(TABLE_COLUMNS),
 }
 
-
-def _sig(x: float, precision: int) -> float:
-    """Round to `precision` significant digits, staying a float for json."""
-    return float(f"{x:.{precision}g}")
+# one schema per subcommand, taken from the result type it prints; json
+# output validates against these
+SCHEMAS: dict[str, dict[str, Any]] = {
+    "genus": _schema(get_type_hints(GenusBreakdown)),
+    "table": _schema(
+        {"max": int, "columns": tuple[str, ...], "rows": {"type": "array", "items": _TABLE_ROW}}
+    ),
+    "missed": _schema(get_type_hints(values.MissedValuesReport)),
+    "parity": _schema({"max": int, "mismatches": tuple[int, ...], "ok": bool}),
+    "bounds": _schema(
+        {
+            "max": int,
+            "violations": tuple[int, ...],
+            "mu_over_12_violations": tuple[int, ...],
+            "equality_levels": tuple[int, ...],
+            "expected_equality_levels": tuple[int, ...],
+            "ok": bool,
+        }
+    ),
+    "average": _schema(get_type_hints(stats.AverageReport)),
+    "density": _schema(get_type_hints(stats.ResidueDensity)),
+    "histogram": _schema(get_type_hints(stats.ResidueHistogram)),
+    "constants": _schema(get_type_hints(stats.AsymptoticConstants)),
+    "dirichlet": _schema(get_type_hints(stats.DirichletCheck) | {"ok": bool}),
+}
 
 
 def _fmt(v: Any, precision: int) -> str:
@@ -193,38 +99,43 @@ def _fmt(v: Any, precision: int) -> str:
     return str(v)
 
 
-def _round_floats(payload: dict[str, Any], precision: int) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for k, v in payload.items():
-        if isinstance(v, float):
-            out[k] = _sig(v, precision)
-        else:
-            out[k] = v
-    return out
+def _emit(
+    args: argparse.Namespace,
+    out: TextIO,
+    record: dict[str, Any],
+    columns: Optional[Iterable[str]] = None,
+    rows: Iterable[Iterable[Any]] = (),
+    plain: Optional[Iterable[str]] = None,
+) -> None:
+    """Write one command's result in the format --format asks for.
 
-
-def _emit_json(payload: Any, out: TextIO) -> None:
-    json.dump(payload, out, indent=2)
-    out.write("\n")
-
-
-def _emit_record(payload: dict[str, Any], args: argparse.Namespace, out: TextIO) -> None:
-    """Scalar record: csv = header + one row, plain = key=value lines."""
-    payload = _round_floats(payload, args.precision)
+    Floats in the record are first rounded to --precision significant
+    digits.  json writes the record; csv writes `columns` and then `rows`,
+    or without columns the record as a header and one row; plain writes
+    the `plain` lines, or without them one key=value line per field.
+    """
+    record = {
+        k: float(f"{v:.{args.precision}g}") if isinstance(v, float) else v
+        for k, v in record.items()
+    }
     if args.format == "json":
-        _emit_json(payload, out)
+        json.dump(record, out, indent=2)
+        out.write("\n")
     elif args.format == "csv":
         w = csv.writer(out, lineterminator="\n")
-        w.writerow(payload.keys())
-        w.writerow(_fmt(v, args.precision) for v in payload.values())
+        if columns is None:
+            columns, rows = record, [[_fmt(v, args.precision) for v in record.values()]]
+        w.writerow(columns)
+        w.writerows(rows)
     else:
-        for k, v in payload.items():
-            out.write(f"{k}={_fmt(v, args.precision)}\n")
+        if plain is None:
+            plain = (f"{k}={_fmt(v, args.precision)}" for k, v in record.items())
+        for line in plain:
+            out.write(line + "\n")
 
 
 def _cmd_genus(args: argparse.Namespace, out: TextIO) -> None:
-    b = genus_breakdown(args.n)
-    _emit_record(asdict(b), args, out)
+    _emit(args, out, asdict(genus_breakdown(args.n)))
 
 
 def _cmd_table(args: argparse.Namespace, out: TextIO) -> None:
@@ -255,35 +166,18 @@ def _cmd_table(args: argparse.Namespace, out: TextIO) -> None:
 
 def _cmd_missed(args: argparse.Namespace, out: TextIO) -> None:
     rep = values.missed_values(args.max, threads=args.threads)
-    if args.format == "json":
-        payload = asdict(rep)
-        payload["missed"] = list(rep.missed)
-        payload["odd_missed"] = list(rep.odd_missed)
-        _emit_json(payload, out)
-    elif args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(("n", "parity", "position"))
-        for i, n in enumerate(rep.missed, start=1):
-            w.writerow((n, "odd" if n % 2 else "even", i))
-    else:
-        for n in rep.missed:
-            out.write(f"{n}\n")
+    rows = ((n, "odd" if n % 2 else "even", i) for i, n in enumerate(rep.missed, start=1))
+    plain = (str(n) for n in rep.missed)
+    _emit(args, out, asdict(rep), ("n", "parity", "position"), rows, plain)
 
 
 def _cmd_parity(args: argparse.Namespace, out: TextIO) -> None:
     mismatches = values.verify_parity_classification(args.max, threads=args.threads)
-    if args.format == "json":
-        _emit_json({"max": args.max, "mismatches": mismatches, "ok": not mismatches}, out)
-    elif args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(("n",))
-        w.writerows((n,) for n in mismatches)
-    else:
-        out.write(f"max={args.max}\n")
-        out.write(f"mismatches={len(mismatches)}\n")
-        out.write(f"ok={_fmt(not mismatches, args.precision)}\n")
-        for n in mismatches:
-            out.write(f"mismatch={n}\n")
+    ok = not mismatches
+    record = {"max": args.max, "mismatches": mismatches, "ok": ok}
+    plain = [f"max={args.max}", f"mismatches={len(mismatches)}", f"ok={_fmt(ok, args.precision)}"]
+    plain += [f"mismatch={n}" for n in mismatches]
+    _emit(args, out, record, ("n",), ((n,) for n in mismatches), plain)
 
 
 def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> None:
@@ -293,80 +187,50 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> None:
     expected = bounds.expected_equality_levels(1, args.max)
     mu12 = bounds.mu_over_12_bound_check(1, args.max, threads=args.threads)
     ok = not violations and not mu12 and equality == expected
-    if args.format == "json":
-        _emit_json(
-            {
-                "max": args.max,
-                "violations": violations,
-                "mu_over_12_violations": mu12,
-                "equality_levels": equality,
-                "expected_equality_levels": expected,
-                "ok": ok,
-            },
-            out,
-        )
-    elif args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(("kind", "n"))
-        w.writerows(("violation", n) for n in violations)
-        w.writerows(("mu_over_12_violation", n) for n in mu12)
-        w.writerows(("equality", n) for n in equality)
-    else:
-        out.write(f"max={args.max}\n")
-        out.write(f"violations={len(violations)}\n")
-        out.write(f"mu_over_12_violations={len(mu12)}\n")
-        out.write(f"ok={_fmt(ok, args.precision)}\n")
-        for n in equality:
-            out.write(f"equality={n}\n")
+    record = {
+        "max": args.max,
+        "violations": violations,
+        "mu_over_12_violations": mu12,
+        "equality_levels": equality,
+        "expected_equality_levels": expected,
+        "ok": ok,
+    }
+    rows = [("violation", n) for n in violations] + [("mu_over_12_violation", n) for n in mu12]
+    rows += [("equality", n) for n in equality]
+    plain = [f"max={args.max}", f"violations={len(violations)}"]
+    plain += [f"mu_over_12_violations={len(mu12)}", f"ok={_fmt(ok, args.precision)}"]
+    plain += [f"equality={n}" for n in equality]
+    _emit(args, out, record, ("kind", "n"), rows, plain)
 
 
 def _cmd_average(args: argparse.Namespace, out: TextIO) -> None:
-    rep = stats.average_partial(args.max, threads=args.threads)
-    _emit_record(asdict(rep), args, out)
+    _emit(args, out, asdict(stats.average_partial(args.max, threads=args.threads)))
 
 
 def _cmd_density(args: argparse.Namespace, out: TextIO) -> None:
     d = stats.residue_density_exact(args.ell)
     if args.empirical_max is not None:
-        d = replace(
-            d,
-            empirical_frequency=stats.residue_density_empirical(
-                args.ell, args.empirical_max, threads=args.threads
-            ),
-            sample_bound=args.empirical_max,
-        )
-    _emit_record(asdict(d), args, out)
+        freq = stats.residue_density_empirical(args.ell, args.empirical_max, threads=args.threads)
+        d = replace(d, empirical_frequency=freq, sample_bound=args.empirical_max)
+    _emit(args, out, asdict(d))
 
 
 def _cmd_histogram(args: argparse.Namespace, out: TextIO) -> None:
     h = stats.residue_histogram(args.ell, args.max, threads=args.threads)
-    if args.format == "json":
-        payload = asdict(h)
-        payload["counts"] = list(h.counts)
-        payload["flagged"] = list(h.flagged)
-        _emit_json(payload, out)
-    elif args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(("residue", "count", "flagged"))
-        for r, c in enumerate(h.counts):
-            w.writerow((r, c, "true" if r in h.flagged else "false"))
-    else:
-        for r, c in enumerate(h.counts):
-            flag = "flagged" if r in h.flagged else "-"
-            out.write(f"{r} {c} {flag}\n")
-        out.write(f"enrichment_holds={_fmt(h.enrichment_holds, args.precision)}\n")
+    counts = list(enumerate(h.counts))
+    rows = ((r, c, _fmt(r in h.flagged, args.precision)) for r, c in counts)
+    plain = [f"{r} {c} {'flagged' if r in h.flagged else '-'}" for r, c in counts]
+    plain.append(f"enrichment_holds={_fmt(h.enrichment_holds, args.precision)}")
+    _emit(args, out, asdict(h), ("residue", "count", "flagged"), rows, plain)
 
 
 def _cmd_constants(args: argparse.Namespace, out: TextIO) -> None:
-    c = stats.asymptotic_constants(args.tol)
-    _emit_record(asdict(c), args, out)
+    _emit(args, out, asdict(stats.asymptotic_constants(args.tol)))
 
 
 def _cmd_dirichlet(args: argparse.Namespace, out: TextIO) -> None:
     chk = stats.zeta_identity_check(args.s, threads=args.threads)
-    payload = asdict(chk)
-    payload["ok"] = chk.ok
-    _emit_record(payload, args, out)
+    _emit(args, out, asdict(chk) | {"ok": chk.ok})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--output", default=None, help="output file (default: stdout)")
     common.add_argument(
-        "--precision", type=int, default=10, help="significant digits for real values"
+        "--precision", type=int, default=10, help="significant digits for real values, >= 1"
     )
     common.add_argument(
         "--threads",
@@ -392,45 +256,45 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("genus", parents=[common], help="breakdown for a single level")
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=int, help="level, >= 1")
     sp.set_defaults(func=_cmd_genus)
 
     sp = sub.add_parser("table", parents=[common], help="breakdowns for all levels up to --max")
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=int, required=True, help="largest level, >= 1")
     sp.set_defaults(func=_cmd_table)
 
     sp = sub.add_parser("missed", parents=[common], help="positive integers <= --max never attained")
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=int, required=True, help="largest genus value, >= 1")
     sp.set_defaults(func=_cmd_missed)
 
     sp = sub.add_parser("parity", parents=[common], help="verify the six-family parity classification")
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=int, required=True, help="largest level, >= 1")
     sp.set_defaults(func=_cmd_parity)
 
     sp = sub.add_parser("bounds", parents=[common], help="verify lower/upper bounds and equality cases")
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=int, required=True, help="largest level, >= 1")
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("average", parents=[common], help="partial averages of the genus")
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--max", type=int, required=True, help="largest level, >= 1")
     sp.set_defaults(func=_cmd_average)
 
     sp = sub.add_parser("density", parents=[common], help="density of g0(N) = 1 (mod ell)")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--empirical-max", type=int, default=None, dest="empirical_max")
+    sp.add_argument("--ell", type=int, required=True, help="odd prime")
+    sp.add_argument("--empirical-max", type=int, help="sample the levels up to here, >= 1")
     sp.set_defaults(func=_cmd_density)
 
     sp = sub.add_parser("histogram", parents=[common], help="histogram of g0(N) mod ell")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--ell", type=int, required=True, help="odd prime")
+    sp.add_argument("--max", type=int, required=True, help="largest level, >= 1")
     sp.set_defaults(func=_cmd_histogram)
 
     sp = sub.add_parser("constants", parents=[common], help="growth constants a0, b, c")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=1e-10, help="in (0, 1e-6]")
     sp.set_defaults(func=_cmd_constants)
 
     sp = sub.add_parser("dirichlet", parents=[common], help="partial F(s) against the zeta product")
-    sp.add_argument("--s", type=float, required=True)
+    sp.add_argument("--s", type=float, required=True, help="finite, > 1")
     sp.set_defaults(func=_cmd_dirichlet)
 
     return p
@@ -440,8 +304,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     func: Callable[[argparse.Namespace, TextIO], None] = args.func
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        # every subcommand has --threads and --precision, the range scans --max
+        for flag in ("threads", "precision", "max"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                raise ValueError(f"--{flag} must be >= 1, got {value}")
         if args.output is None:
             func(args, sys.stdout)
         else:

@@ -6,9 +6,9 @@ The genus is assembled from four multiplicative quantities:
 
 where mu is the index of the level-N congruence subgroup in SL2(Z), nu2 and
 nu3 count solutions in Z/NZ of x^2 + 1 = 0 and x^2 + x + 1 = 0, and nu_inf
-counts cusps.  Each has a closed form over the prime factorization of N,
-implemented here next to brute-force counterparts (exhaustive residue scans
-and divisor sums) that serve as independent oracles in the test suite.
+counts cusps.  Each has a closed form over the prime factorization of N;
+the test suite checks them against brute-force counts (exhaustive residue
+scans and divisor sums).
 
 All arithmetic is integer-exact: the genus is computed from the identity
 12*(g - 1) = mu - 3*nu2 - 4*nu3 - 6*nu_inf, whose left side must be
@@ -26,21 +26,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterator
 
 import numpy as np
 
-from .arith import Factorization, SpfTable, factorize, primes_up_to
-
-# Exhaustive residue scans are O(n); refuse far-too-large inputs instead of
-# silently grinding.  Overridable via the environment for bigger sessions.
-DEFAULT_BRUTE_CEILING = 10**6
-BRUTE_CEILING_ENV = "X0GENUS_BRUTE_CEILING"
-# nu2_brute and nu3_brute square every residue x < n in int64, and
-# x*x + x + 1 stays below 2**63 exactly while x <= isqrt(2**63 - 1); larger
-# n are refused whatever the ceiling.
-RESIDUE_SCAN_LIMIT = isqrt(2**63 - 1) + 1
+from .arith import Factorization, factorize, primes_up_to
 
 # Fixed segment width for batch scans.  Sharding over segments of this size
 # is what --threads parallelizes; keeping the width constant makes every
@@ -55,11 +46,6 @@ SMALL_PRIME_LIMIT = SEGMENT >> 6
 
 class ConsistencyError(RuntimeError):
     """Internal identity 12 | mu - 3*nu2 - 4*nu3 - 6*nu_inf failed."""
-
-
-def _brute_ceiling() -> int:
-    raw = os.environ.get(BRUTE_CEILING_ENV)
-    return int(raw) if raw else DEFAULT_BRUTE_CEILING
 
 
 @dataclass(frozen=True)
@@ -144,50 +130,6 @@ def nu_infinity(f: Factorization) -> int:
     return count
 
 
-def nu2_brute(n: int, ceiling: int | None = None) -> int:
-    """Count x in Z/nZ with x^2 + 1 = 0 by exhaustive scan."""
-    _check_brute(n, ceiling, RESIDUE_SCAN_LIMIT)
-    x = np.arange(n, dtype=np.int64)
-    return int(np.count_nonzero((x * x + 1) % n == 0))
-
-
-def nu3_brute(n: int, ceiling: int | None = None) -> int:
-    """Count x in Z/nZ with x^2 + x + 1 = 0 by exhaustive scan."""
-    _check_brute(n, ceiling, RESIDUE_SCAN_LIMIT)
-    x = np.arange(n, dtype=np.int64)
-    return int(np.count_nonzero((x * x + x + 1) % n == 0))
-
-
-def nu_infinity_brute(n: int, ceiling: int | None = None) -> int:
-    """Cusp count via the divisor sum  sum_{d | n} phi(gcd(d, n/d))."""
-    _check_brute(n, ceiling)
-    from .arith import euler_phi
-
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += euler_phi(factorize(gcd(d, n // d)))
-            q = n // d
-            if q != d:
-                total += euler_phi(factorize(gcd(q, d)))
-    return total
-
-
-def _check_brute(n: int, ceiling: int | None, int64_limit: int | None = None) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if int64_limit is not None and n > int64_limit:
-        raise ValueError(
-            f"n={n} exceeds {int64_limit}, the largest n whose residue scan fits int64"
-        )
-    limit = _brute_ceiling() if ceiling is None else ceiling
-    if n > limit:
-        raise ValueError(
-            f"n={n} exceeds brute-force ceiling {limit}"
-            f" (raise via {BRUTE_CEILING_ENV} or the ceiling argument)"
-        )
-
-
 def breakdown_from_factorization(f: Factorization) -> GenusBreakdown:
     m = mu(f)
     n2 = nu2(f)
@@ -202,20 +144,6 @@ def breakdown_from_factorization(f: Factorization) -> GenusBreakdown:
 def genus(n: int) -> GenusBreakdown:
     """Exact genus breakdown for a single level n >= 1."""
     return breakdown_from_factorization(factorize(n))
-
-
-def genus_range(lo: int, hi: int, spf: SpfTable) -> Iterator[GenusBreakdown]:
-    """Breakdowns for every level in [lo, hi], ascending.
-
-    Factorizations come from the smallest-prime-factor table, so the total
-    work is O((hi - lo) * log hi).
-    """
-    if lo < 1:
-        raise ValueError(f"need lo >= 1, got {lo}")
-    if hi > spf.limit:
-        raise ValueError(f"hi={hi} exceeds table limit {spf.limit}")
-    for n in range(lo, hi + 1):
-        yield breakdown_from_factorization(spf.factorize(n))
 
 
 @dataclass(frozen=True)
@@ -266,6 +194,23 @@ def _hits(lo: int, hi: int, steps: np.ndarray):
     return offset[owner] + k * steps[owner], owner, count > 0
 
 
+def _require_primes_up_to(primes: np.ndarray, root: int) -> None:
+    """Refuse a prime array that misses a prime <= root.
+
+    `primes` is taken to hold every prime up to its last entry.  The first
+    integer past that entry with no factor among them is then the next
+    prime, so the loop below ends at a missing prime or finds none before
+    root.  Trying the primes up to isqrt(root) settles every composite.  An
+    array that stops less than one prime gap short of root, as iter_blocks
+    hands its topmost blocks, costs a few dozen tests.
+    """
+    last = int(primes[-1]) if len(primes) else 1
+    divisors = primes[: np.searchsorted(primes, isqrt(root), side="right")]
+    for c in range(last + 1, root + 1):
+        if not np.any(c % divisors == 0):
+            raise ValueError(f"primes stop at {last}, short of the prime {c} <= isqrt(hi)")
+
+
 def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> GenusBlock:
     """Compute all five quantities for every level in [lo, hi] at once.
 
@@ -296,6 +241,8 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
         raise ValueError(f"empty range [{lo}, {hi}]")
     if primes is None:
         primes = primes_up_to(isqrt(hi))
+    else:
+        _require_primes_up_to(primes, isqrt(hi))
     primes = primes[: np.searchsorted(primes, isqrt(hi), side="right")]
     n_small = np.searchsorted(primes, SMALL_PRIME_LIMIT, side="right")
     size = hi - lo + 1
@@ -427,18 +374,3 @@ def iter_blocks(
         while pending:
             yield pending.pop(0).result()
 
-
-def genus_table(limit: int, threads: int = 1) -> GenusBlock:
-    """Single block covering [1, limit] (convenience for whole-range scans)."""
-    blocks = list(iter_blocks(1, limit, threads=threads))
-    if len(blocks) == 1:
-        return blocks[0]
-    return GenusBlock(
-        1,
-        limit,
-        np.concatenate([b.mu for b in blocks]),
-        np.concatenate([b.nu2 for b in blocks]),
-        np.concatenate([b.nu3 for b in blocks]),
-        np.concatenate([b.nu_inf for b in blocks]),
-        np.concatenate([b.genus for b in blocks]),
-    )

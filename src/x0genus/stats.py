@@ -28,7 +28,7 @@ by bracketed root finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, fsum, isqrt, log, pi
+from math import factorial, fsum, inf, isqrt, log, pi
 from typing import Optional
 
 import numpy as np
@@ -98,8 +98,8 @@ def zeta_with_error(s: float) -> tuple[float, float]:
     For real s the remainder R is bounded by the first omitted term, which
     is what the second return value reports (far below 1e-15 here).
     """
-    if s <= 1.0:
-        raise ValueError(f"zeta is evaluated only for s > 1 (pole at s = 1), got {s}")
+    if not 1.0 < s < inf:
+        raise ValueError(f"zeta is evaluated only for finite s > 1 (pole at s = 1), got {s}")
     m = float(_ZETA_CUTOFF)
     n = np.arange(1.0, m + 1.0)
     value = float(np.sum(n ** (-s))) + m ** (1.0 - s) / (s - 1.0) - 0.5 * m ** (-s)
@@ -162,8 +162,8 @@ def dirichlet_F(s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS, threads: int =
 
     The omitted tail is positive and below dirichlet_tail_bound(s, n_terms).
     """
-    if s <= 1.0:
-        raise ValueError(f"F has a pole at s = 1 and is summed only for s > 1, got {s}")
+    if not 1.0 < s < inf:
+        raise ValueError(f"F has a pole at s = 1 and is summed only for finite s > 1, got {s}")
     if n_terms < 1:
         raise ValueError(f"need n_terms >= 1, got {n_terms}")
     parts = []
@@ -180,8 +180,8 @@ def dirichlet_tail_bound(s: float, n_terms: int) -> float:
     mu(N)/N <= sum_{d | N} 1/d <= 1 + ln N beyond it; both tails are then
     bounded by integrals.
     """
-    if s <= 1.0:
-        raise ValueError(f"the tail converges only for s > 1, got {s}")
+    if not 1.0 < s < inf:
+        raise ValueError(f"the tail is bounded only for finite s > 1, got {s}")
     k = float(MU_RATIO_BELOW_FOUR_LIMIT - 1)
     small = 4.0 * n_terms ** (1.0 - s) / (s - 1.0)
     large = k ** (1.0 - s) * ((1.0 + log(k)) / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
@@ -284,6 +284,8 @@ def bound_3_over_ell_squared(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -
 def residue_density_empirical(ell: int, bound: int, threads: int = 1) -> float:
     """Frequency of g0(N) = 1 (mod ell) over all levels N <= bound."""
     _require_odd_prime(ell)
+    if bound < 1:
+        raise ValueError(f"need bound >= 1, got {bound}")
     hits = 0
     for blk in iter_blocks(1, bound, threads=threads):
         hits += int(np.count_nonzero(blk.genus % ell == 1))
@@ -292,6 +294,8 @@ def residue_density_empirical(ell: int, bound: int, threads: int = 1) -> float:
 
 def even_genus_frequency(bound: int, threads: int = 1) -> float:
     """Frequency of even g0(N) over all levels N <= bound (the ell = 2 case)."""
+    if bound < 1:
+        raise ValueError(f"need bound >= 1, got {bound}")
     hits = 0
     for blk in iter_blocks(1, bound, threads=threads):
         hits += int(np.count_nonzero(blk.genus % 2 == 0))

@@ -6,8 +6,8 @@ so the fixtures use a few workers.
 
 import pytest
 
+from oracles import genus_table
 from x0genus import values
-from x0genus.genus import genus_table
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,42 @@ multiplicative machinery they are meant to check.  The growth constants are
 solved again from their defining equations at 50 digits with mpmath.  The
 block sieve's earlier form, one strided pass per prime, is kept here as the
 reference for the current one.
+
+Also here: the exhaustive residue scans and the divisor-sum cusp count for
+single levels, a smallest-prime-factor table with the scalar closed forms
+over it, a totient sieve, and genus_table, which joins the blocks of
+[1, limit] into one.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import Iterator
 
 import numpy as np
+
+from x0genus.arith import Factorization, euler_phi, factorize, primes_up_to
+from x0genus.genus import (
+    GenusBlock,
+    GenusBreakdown,
+    breakdown_from_factorization,
+    iter_blocks,
+    theta,
+)
+
+# Exhaustive residue scans are O(n); refuse far-too-large inputs instead of
+# silently grinding.
+DEFAULT_BRUTE_CEILING = 10**6
+# nu2_brute and nu3_brute square every residue x < n in int64, and
+# x*x + x + 1 stays below 2**63 exactly while x <= isqrt(2**63 - 1); larger
+# n are refused whatever the ceiling.
+RESIDUE_SCAN_LIMIT = isqrt(2**63 - 1) + 1
+
+# One int32 per integer: a table up to 10**8 costs ~400 MB.  That is the
+# practical ceiling on ordinary hardware; larger ranges should be processed
+# in segments instead of through one table.
+SPF_TABLE_CEILING = 2 * 10**8
 
 
 def squarefree_mask(limit: int) -> np.ndarray:
@@ -130,9 +159,6 @@ def breakdown_block_strided(lo: int, hi: int, primes=None):
     together: every prime, however few levels of [lo, hi] it hits, strips
     its powers with numpy slices of stride p**j.  It returns a GenusBlock.
     """
-    from x0genus.arith import primes_up_to
-    from x0genus.genus import GenusBlock, theta
-
     if primes is None:
         primes = primes_up_to(isqrt(hi))
     size = hi - lo + 1
@@ -187,3 +213,138 @@ def breakdown_block_strided(lo: int, hi: int, primes=None):
     twelve_g = mu_a - 3 * nu2_a - 4 * nu3_a - 6 * nui_a + 12
     assert not np.any(twelve_g % 12), "12 does not divide the genus numerator"
     return GenusBlock(lo, hi, mu_a, nu2_a, nu3_a, nui_a, twelve_g // 12)
+
+
+def nu2_brute(n: int, ceiling: int = DEFAULT_BRUTE_CEILING) -> int:
+    """Count x in Z/nZ with x^2 + 1 = 0 by exhaustive scan."""
+    _check_brute(n, ceiling, RESIDUE_SCAN_LIMIT)
+    x = np.arange(n, dtype=np.int64)
+    return int(np.count_nonzero((x * x + 1) % n == 0))
+
+
+def nu3_brute(n: int, ceiling: int = DEFAULT_BRUTE_CEILING) -> int:
+    """Count x in Z/nZ with x^2 + x + 1 = 0 by exhaustive scan."""
+    _check_brute(n, ceiling, RESIDUE_SCAN_LIMIT)
+    x = np.arange(n, dtype=np.int64)
+    return int(np.count_nonzero((x * x + x + 1) % n == 0))
+
+
+def nu_infinity_brute(n: int, ceiling: int = DEFAULT_BRUTE_CEILING) -> int:
+    """Cusp count via the divisor sum  sum_{d | n} phi(gcd(d, n/d))."""
+    _check_brute(n, ceiling)
+    total = 0
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            total += euler_phi(factorize(gcd(d, n // d)))
+            q = n // d
+            if q != d:
+                total += euler_phi(factorize(gcd(q, d)))
+    return total
+
+
+def _check_brute(n: int, ceiling: int, int64_limit: int | None = None) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if int64_limit is not None and n > int64_limit:
+        raise ValueError(
+            f"n={n} exceeds {int64_limit}, the largest n whose residue scan fits int64"
+        )
+    if n > ceiling:
+        raise ValueError(f"n={n} exceeds brute-force ceiling {ceiling}; pass a larger ceiling")
+
+
+@dataclass(frozen=True)
+class SpfTable:
+    """Smallest-prime-factor table for 2 <= m <= limit.
+
+    table[m] is the least prime dividing m (so table[m] == m exactly for
+    primes).  Immutable after construction; safe to share across workers.
+    """
+
+    limit: int
+    table: np.ndarray
+
+    def spf(self, m: int) -> int:
+        if not 2 <= m <= self.limit:
+            raise ValueError(f"{m} outside table range [2, {self.limit}]")
+        return int(self.table[m])
+
+    def is_prime(self, m: int) -> bool:
+        return m >= 2 and self.spf(m) == m
+
+    def factorize(self, m: int) -> Factorization:
+        """Factor m via repeated table lookups, O(log m)."""
+        if m < 1:
+            raise ValueError(f"cannot factor {m}: need m >= 1")
+        if m > self.limit:
+            raise ValueError(f"{m} exceeds table limit {self.limit}")
+        n = m
+        factors = []
+        while m > 1:
+            p = int(self.table[m])
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        return Factorization(n, tuple(factors))
+
+
+def build_spf_table(limit: int) -> SpfTable:
+    """Sieve smallest prime factors for every integer up to limit."""
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    if limit > SPF_TABLE_CEILING:
+        raise ValueError(
+            f"limit {limit} exceeds memory ceiling {SPF_TABLE_CEILING}"
+        )
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == 0:
+            sl = spf[p * p :: p]
+            sl[sl == 0] = p
+    untouched = spf == 0
+    untouched[:2] = False
+    spf[untouched] = np.nonzero(untouched)[0]
+    spf[1] = 1
+    return SpfTable(limit, spf)
+
+
+def phi_table(limit: int) -> np.ndarray:
+    """phi(m) for all 0 <= m <= limit (phi[0] defined as 0)."""
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in primes_up_to(limit):
+        phi[p::p] -= phi[p::p] // p
+    if limit >= 0:
+        phi[0] = 0
+    return phi
+
+
+def genus_range(lo: int, hi: int, spf: SpfTable) -> Iterator[GenusBreakdown]:
+    """Breakdowns for every level in [lo, hi], ascending.
+
+    Factorizations come from the smallest-prime-factor table, so the total
+    work is O((hi - lo) * log hi).
+    """
+    if lo < 1:
+        raise ValueError(f"need lo >= 1, got {lo}")
+    if hi > spf.limit:
+        raise ValueError(f"hi={hi} exceeds table limit {spf.limit}")
+    for n in range(lo, hi + 1):
+        yield breakdown_from_factorization(spf.factorize(n))
+
+
+def genus_table(limit: int, threads: int = 1) -> GenusBlock:
+    """Single block covering [1, limit] (convenience for whole-range scans)."""
+    blocks = list(iter_blocks(1, limit, threads=threads))
+    if len(blocks) == 1:
+        return blocks[0]
+    return GenusBlock(
+        1,
+        limit,
+        np.concatenate([b.mu for b in blocks]),
+        np.concatenate([b.nu2 for b in blocks]),
+        np.concatenate([b.nu3 for b in blocks]),
+        np.concatenate([b.nu_inf for b in blocks]),
+        np.concatenate([b.genus for b in blocks]),
+    )

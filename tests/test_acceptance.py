@@ -10,8 +10,13 @@ from math import log, pi
 import numpy as np
 
 from x0genus import bounds, stats, values
-from x0genus.genus import nu2_brute, nu3_brute
-from oracles import GROWTH_CONSTANT_DIGITS, mu_divisor_sum, nu_inf_divisor_sum
+from oracles import (
+    GROWTH_CONSTANT_DIGITS,
+    mu_divisor_sum,
+    nu2_brute,
+    nu3_brute,
+    nu_inf_divisor_sum,
+)
 
 THREADS = 4
 

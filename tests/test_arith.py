@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from x0genus.arith import (
     Factorization,
-    build_spf_table,
     euler_phi,
     factorize,
-    phi_table,
     primes_in_progression,
     primes_up_to,
 )
-from oracles import factor_dumb
+from oracles import build_spf_table, factor_dumb, phi_table
 
 
 def test_factorize_small_known():

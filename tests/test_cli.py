@@ -187,6 +187,16 @@ def test_invalid_input_exits_1():
         ["density", "--ell", "2"],
         ["missed", "--max", "100000000"],
         ["constants", "--tol", "0.5"],
+        ["density", "--ell", "7", "--empirical-max", "0"],
+        ["density", "--ell", "7", "--empirical-max", "-5"],
+        ["dirichlet", "--s", "nan"],
+        ["dirichlet", "--s", "inf"],
+        ["genus", "11", "--precision", "-1"],
+        ["constants", "--precision", "0"],
+        ["table", "--max", "0"],
+        ["table", "--max", "-3"],
+        ["parity", "--max", "0"],
+        ["bounds", "--max", "-1"],
     ):
         code, out, err = run(argv)
         assert code == 1, argv

@@ -7,34 +7,41 @@ factorization, the vectorized block sieve, and definition-level oracles
 
 import importlib
 from concurrent.futures import Future
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from x0genus.arith import Factorization, build_spf_table, factorize
+from x0genus.arith import Factorization, factorize, primes_up_to
 from x0genus.genus import (
-    RESIDUE_SCAN_LIMIT,
     SEGMENT,
     SMALL_PRIME_LIMIT,
     GenusBreakdown,
     breakdown_block,
     breakdown_from_factorization,
     genus,
-    genus_range,
-    genus_table,
     iter_blocks,
     mu,
     nu2,
-    nu2_brute,
     nu3,
-    nu3_brute,
     nu_infinity,
-    nu_infinity_brute,
     theta,
 )
-from oracles import breakdown_block_strided, mu_divisor_sum, nu_inf_divisor_sum
+import oracles
+from oracles import (
+    RESIDUE_SCAN_LIMIT,
+    breakdown_block_strided,
+    build_spf_table,
+    genus_range,
+    genus_table,
+    mu_divisor_sum,
+    nu2_brute,
+    nu3_brute,
+    nu_inf_divisor_sum,
+    nu_infinity_brute,
+)
 
 # the package re-exports the function genus, which shadows the submodule
 genus_module = importlib.import_module("x0genus.genus")
@@ -117,10 +124,9 @@ def test_brute_ceiling(monkeypatch):
         nu2_brute(10, ceiling=5)
     with pytest.raises(ValueError):
         nu2_brute(0)
-    monkeypatch.setenv("X0GENUS_BRUTE_CEILING", "50")
     with pytest.raises(ValueError):
-        nu3_brute(51)
-    assert nu3_brute(49) == nu3(factorize(49))
+        nu3_brute(51, ceiling=50)
+    assert nu3_brute(49, ceiling=50) == nu3(factorize(49))
     assert nu2_brute(51, ceiling=100) == nu2(factorize(51))
 
 
@@ -143,6 +149,26 @@ def test_block_argument_validation():
         blk.breakdown(9)
     assert len(blk) == 11
     assert blk.levels[0] == 10
+
+
+def test_block_refuses_primes_short_of_sqrt_hi():
+    # 11 <= isqrt(10**6 + 100) is missing; unchecked, 58 of the 101 levels came out wrong
+    with pytest.raises(ValueError, match="short of the prime 11 "):
+        breakdown_block(10**6, 10**6 + 100, primes_up_to(10))
+    with pytest.raises(ValueError, match="short of the prime 999983 "):
+        breakdown_block(999983**2 - 100, 999983**2, primes_up_to(999982))
+    with pytest.raises(ValueError, match="short of the prime 2 "):
+        breakdown_block(4, 8, primes_up_to(1))
+
+
+def test_block_accepts_primes_ending_in_a_prime_gap():
+    # the primes iter_blocks passes end at 999983, below isqrt(hi) = 10**6,
+    # and nothing in between is prime
+    hi = 10**12 + 2**17
+    primes = primes_up_to(10**6)
+    assert primes[-1] == 999983 < isqrt(hi) == 10**6
+    lo = hi - 2000
+    _assert_blocks_equal(breakdown_block(lo, hi, primes), breakdown_block_strided(lo, hi))
 
 
 def test_genus_range_validation():
@@ -177,8 +203,7 @@ def test_brute_scans_refuse_int64_overflow(monkeypatch):
     def no_alloc(*args, **kwargs):
         raise AssertionError("residue array allocated before the refusal")
 
-    monkeypatch.setenv("X0GENUS_BRUTE_CEILING", str(10**12))
-    monkeypatch.setattr(genus_module.np, "arange", no_alloc)
+    monkeypatch.setattr(oracles.np, "arange", no_alloc)
     for scan in (nu2_brute, nu3_brute):
         with pytest.raises(ValueError, match=str(RESIDUE_SCAN_LIMIT)):
             scan(RESIDUE_SCAN_LIMIT + 1)

@@ -62,8 +62,10 @@ def subcommands():
     return set(sub.choices)
 
 
-def test_cases_cover_every_subcommand():
-    assert {argv[0] for argv in CASES.values()} == subcommands()
+def test_schemas_and_cases_cover_every_subcommand():
+    names = subcommands()
+    assert set(SCHEMAS) == names  # one schema per subcommand, none left over
+    assert {argv[0] for argv in CASES.values()} == names
 
 
 @pytest.mark.parametrize("threads", [None, "2"])

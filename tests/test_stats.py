@@ -54,10 +54,39 @@ def test_zeta_against_scipy():
 
 
 def test_zeta_domain():
-    with pytest.raises(ValueError):
-        zeta(1.0)
-    with pytest.raises(ValueError):
-        zeta(0.5)
+    for s in (1.0, 0.5, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            zeta(s)
+
+
+# s from near the pole to where zeta(s) - 1 is below 1e-3
+ZETA_CHECK_S = (1.0001, 1.5, 2.0, 3.0, 4.0, 5.0, 10.0)
+
+
+@pytest.mark.parametrize("s", ZETA_CHECK_S)
+def test_zeta_remainder_against_60_digits(s):
+    """The claimed Euler-Maclaurin remainder bounds the true one.
+
+    The same sum (cutoff 32, Bernoulli terms B_2 to B_16) is taken again at
+    60 digits, so its distance from mpmath's zeta(s) is the method's own
+    remainder, free of float rounding; that must not exceed the remainder
+    zeta_with_error reports.  The float value may add rounding on top, a
+    few units in the last place of zeta(s).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    value, remainder = zeta_with_error(s)
+    with mpmath.workdps(60):
+        x = mpmath.mpf(s)
+        m = mpmath.mpf(32)
+        em = mpmath.fsum(n**-x for n in range(1, 33)) + m ** (1 - x) / (x - 1) - m**-x / 2
+        rising = x
+        for j in range(1, 9):
+            em += mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * rising * m ** (-x - 2 * j + 1)
+            rising *= (x + 2 * j - 1) * (x + 2 * j)
+        exact = mpmath.zeta(x)
+        assert abs(em - exact) <= remainder
+        eps = mpmath.mpf(np.finfo(float).eps)
+        assert abs(mpmath.mpf(value) - exact) <= remainder + 4 * eps * exact
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +151,11 @@ def test_dirichlet_validations():
         dirichlet_F(2.0, 0)
     with pytest.raises(ValueError):
         dirichlet_tail_bound(1.0, 100)
+    for s in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            dirichlet_F(s)
+        with pytest.raises(ValueError):
+            dirichlet_tail_bound(s, 100)
 
 
 def test_tail_bound_monotone():
@@ -240,6 +274,14 @@ def test_histogram_mod_7_regression():
     assert h.flagged == (0, 4, 6)
     assert not h.two_primitive_root
     assert h.enrichment_holds is True
+
+
+def test_empirical_frequencies_need_a_level():
+    for bound in (0, -5):
+        with pytest.raises(ValueError):
+            residue_density_empirical(7, bound)
+        with pytest.raises(ValueError):
+            even_genus_frequency(bound)
 
 
 def test_empirical_density_regressions():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from x0genus.arith import build_spf_table, factorize
+from x0genus.arith import factorize
 from x0genus.values import (
     EXCEPTIONAL_EVEN_LEVELS,
     attained_genera,
@@ -17,6 +17,7 @@ from x0genus.values import (
     verify_parity_classification,
 )
 from x0genus.genus import genus
+from oracles import build_spf_table
 
 
 def test_scan_limit_examples():
