@@ -197,8 +197,12 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> None:
     }
     rows = [("violation", n) for n in violations] + [("mu_over_12_violation", n) for n in mu12]
     rows += [("equality", n) for n in equality]
-    plain = [f"max={args.max}", f"violations={len(violations)}"]
-    plain += [f"mu_over_12_violations={len(mu12)}", f"ok={_fmt(ok, args.precision)}"]
+    plain = [
+        f"max={args.max}",
+        f"violations={len(violations)}",
+        f"mu_over_12_violations={len(mu12)}",
+        f"ok={_fmt(ok, args.precision)}",
+    ]
     plain += [f"equality={n}" for n in equality]
     _emit(args, out, record, ("kind", "n"), rows, plain)
 

@@ -199,10 +199,11 @@ def _require_primes_up_to(primes: np.ndarray, root: int) -> None:
 
     `primes` is taken to hold every prime up to its last entry.  The first
     integer past that entry with no factor among them is then the next
-    prime, so the loop below ends at a missing prime or finds none before
-    root.  Trying the primes up to isqrt(root) settles every composite.  An
-    array that stops less than one prime gap short of root, as iter_blocks
-    hands its topmost blocks, costs a few dozen tests.
+    prime, so the loop below stops at a missing prime or runs past root
+    without one.  Trying the primes up to isqrt(root) settles every composite.  An
+    array that stops less than one prime gap short of root, as
+    primes_up_to(root) does whenever root is not prime, costs a few dozen
+    tests.
     """
     last = int(primes[-1]) if len(primes) else 1
     divisors = primes[: np.searchsorted(primes, isqrt(root), side="right")]
@@ -217,7 +218,9 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     A segmented multiplicative sieve: each prime p <= sqrt(hi) strips its
     powers out of every level in the window while accumulating the closed
     forms; whatever remains of a level afterwards is 1 or a single large
-    prime, absorbed in one vectorized pass at the end.
+    prime, absorbed in one vectorized pass at the end.  `primes`, when
+    given, must hold every prime up to isqrt(hi) (more are ignored); one
+    that stops short raises ValueError.
 
     The primes fall into two classes.  Small primes, p <= SMALL_PRIME_LIMIT,
     hit many levels each and are applied one at a time with strided slices.

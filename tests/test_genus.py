@@ -161,12 +161,13 @@ def test_block_refuses_primes_short_of_sqrt_hi():
         breakdown_block(4, 8, primes_up_to(1))
 
 
-def test_block_accepts_primes_ending_in_a_prime_gap():
-    # the primes iter_blocks passes end at 999983, below isqrt(hi) = 10**6,
-    # and nothing in between is prime
-    hi = 10**12 + 2**17
-    primes = primes_up_to(10**6)
-    assert primes[-1] == 999983 < isqrt(hi) == 10**6
+# the primes up to isqrt(hi) end below it unless it is prime: at 999983
+# for isqrt(hi) = 10**6, and below 1009**2, which only the divisor
+# 1009 = isqrt(isqrt(hi)) shows composite
+@pytest.mark.parametrize("hi", [10**12 + 2**17, 1009**4])
+def test_block_accepts_primes_ending_in_a_prime_gap(hi):
+    primes = primes_up_to(isqrt(hi))
+    assert primes[-1] < isqrt(hi)
     lo = hi - 2000
     _assert_blocks_equal(breakdown_block(lo, hi, primes), breakdown_block_strided(lo, hi))
 
