@@ -11,6 +11,10 @@ batch scans over level ranges, sharp lower/upper bounds with exact
 equality detection, enumeration of the integers never attained as a
 genus, the six-family parity classification, residue-class densities,
 and the growth constants of the attained-value counting function.
+
+`x0genus.genus` is the function, which shadows its submodule: reach the
+module with `importlib.import_module("x0genus.genus")` or with
+`from x0genus.genus import ...`, not with `import x0genus.genus as G`.
 """
 
 from .arith import (
@@ -46,6 +50,7 @@ from .genus import (
     nu2,
     nu3,
     nu_infinity,
+    scan,
     theta,
 )
 from .stats import (
@@ -136,6 +141,7 @@ __all__ = [
     "residue_density_exact",
     "residue_histogram",
     "restricted_congruence_check",
+    "scan",
     "scan_limit_for",
     "squarefree_fraction",
     "theta",

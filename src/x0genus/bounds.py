@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .arith import factorize, primes_up_to
-from .genus import GenusBlock, breakdown_from_factorization, iter_blocks
+from .genus import GenusBlock, breakdown_from_factorization, scan
 
 EULER_GAMMA = 0.5772156649015329
 EXP_EULER_GAMMA = 1.7810724179901979
@@ -91,11 +91,7 @@ def upper_bound(n: int) -> float:
 
 def mu_over_12_bound_check(lo: int, hi: int, threads: int = 1) -> list[int]:
     """Levels in [lo, hi] with 12*g0(N) > mu(N).  Expected empty."""
-    bad: list[int] = []
-    for blk in iter_blocks(lo, hi, threads=threads):
-        idx = np.nonzero(12 * blk.genus > blk.mu)[0]
-        bad.extend(int(i) + blk.lo for i in idx)
-    return bad
+    return scan(lo, hi, mu_over_12_violations, threads=threads)[0]
 
 
 def check_bounds_range(lo: int, hi: int, threads: int = 1) -> list[BoundsReport]:
@@ -104,13 +100,16 @@ def check_bounds_range(lo: int, hi: int, threads: int = 1) -> list[BoundsReport]
     A clean scan returns only equality cases, which should be exactly the
     squares of primes congruent to 1 mod 12 inside the range.
     """
-    out: list[BoundsReport] = []
-    for blk in iter_blocks(lo, hi, threads=threads):
-        out.extend(_scan_block(blk))
-    return out
+    return scan(lo, hi, bound_reports, threads=threads)[0]
 
 
-def _scan_block(blk: GenusBlock) -> list[BoundsReport]:
+def mu_over_12_violations(blk: GenusBlock) -> list[int]:
+    """The levels of one block with 12*g0(N) > mu(N)."""
+    return blk.where(12 * blk.genus > blk.mu)
+
+
+def bound_reports(blk: GenusBlock) -> list[BoundsReport]:
+    """The equality cases and bound violations of one block."""
     n = blk.levels
     g = blk.genus
     lhs = n - 8 - 12 * g
@@ -125,20 +124,11 @@ def _scan_block(blk: GenusBlock) -> list[BoundsReport]:
     if np.any(big):
         ll = np.log(np.log(n[big]))
         upper_bad[big] = g[big] >= n[big] * UPPER_BOUND_COEFF * (ll + 2 / ll)
-    flagged = np.nonzero(lower_bad | upper_bad | equality)[0]
-    reports = []
-    for i in flagged:
-        level = int(n[i])
-        reports.append(
-            BoundsReport(
-                n=level,
-                genus=int(g[i]),
-                lower=lower_bound(level),
-                upper=upper_bound(level) if level > 2 else None,
-                lower_equality=bool(equality[i]),
-            )
-        )
-    return reports
+    return [
+        BoundsReport(m, int(g[m - blk.lo]), lower_bound(m), upper_bound(m) if m > 2 else None,
+                     bool(equality[m - blk.lo]))
+        for m in blk.where(lower_bad | upper_bad | equality)
+    ]
 
 
 def expected_equality_levels(lo: int, hi: int) -> list[int]:

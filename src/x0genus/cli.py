@@ -5,9 +5,9 @@ document per run), plain (newline-delimited values, or key=value lines
 for single-record commands).  All numeric output is deterministic for
 fixed flags; --threads changes wall time, never a digit.
 
-Exit codes: 0 success; 1 invalid input or capacity refusal; 2 usage
-error (unknown subcommand, malformed flag); 3 internal consistency
-fault.
+Exit codes: 0 success; 1 invalid input, capacity refusal, or a reader
+that closed the output pipe early; 2 usage error (unknown subcommand,
+malformed flag); 3 internal consistency fault.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from typing import Any, Callable, Iterable, Optional, TextIO, get_args, get_origin, get_type_hints
 
 from . import bounds, stats, values
-from .genus import ConsistencyError, GenusBreakdown, genus as genus_breakdown, iter_blocks
+from .genus import ConsistencyError, GenusBreakdown, genus as genus_breakdown, iter_blocks, scan
 
 TABLE_COLUMNS = ("n", "mu", "nu2", "nu3", "nu_inf", "genus")
 
@@ -138,30 +139,23 @@ def _cmd_genus(args: argparse.Namespace, out: TextIO) -> None:
     _emit(args, out, asdict(genus_breakdown(args.n)))
 
 
+# (header, row format, row separator, trailer) of the table in each format
+_TABLE_LAYOUT = {
+    "plain": ("", "%d %d %d %d %d %d\n", "", ""),
+    "csv": (",".join(TABLE_COLUMNS) + "\n", "%d,%d,%d,%d,%d,%d\n", "", ""),
+    "json": ('{"max": %%d, "columns": %s, "rows": [' % json.dumps(list(TABLE_COLUMNS)),
+             "[%d, %d, %d, %d, %d, %d]", ", ", "]}\n"),
+}
+
+
 def _cmd_table(args: argparse.Namespace, out: TextIO) -> None:
-    blocks = iter_blocks(1, args.max, threads=args.threads)
-    if args.format == "json":
-        out.write('{"max": %d, "columns": %s, "rows": [' % (args.max, json.dumps(list(TABLE_COLUMNS))))
-        first = True
-        for blk in blocks:
-            rows = zip(range(blk.lo, blk.hi + 1), blk.mu.tolist(), blk.nu2.tolist(),
-                       blk.nu3.tolist(), blk.nu_inf.tolist(), blk.genus.tolist())
-            chunk = ", ".join("[%d, %d, %d, %d, %d, %d]" % r for r in rows)
-            out.write(("" if first else ", ") + chunk)
-            first = False
-        out.write("]}\n")
-        return
-    if args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(TABLE_COLUMNS)
-        for blk in blocks:
-            w.writerows(zip(range(blk.lo, blk.hi + 1), blk.mu.tolist(), blk.nu2.tolist(),
-                            blk.nu3.tolist(), blk.nu_inf.tolist(), blk.genus.tolist()))
-        return
-    for blk in blocks:
-        for r in zip(range(blk.lo, blk.hi + 1), blk.mu.tolist(), blk.nu2.tolist(),
-                     blk.nu3.tolist(), blk.nu_inf.tolist(), blk.genus.tolist()):
-            out.write("%d %d %d %d %d %d\n" % r)
+    header, row, sep, trailer = _TABLE_LAYOUT[args.format]
+    out.write(header.replace("%d", str(args.max)))
+    for blk in iter_blocks(1, args.max, threads=args.threads):
+        rows = zip(range(blk.lo, blk.hi + 1), blk.mu.tolist(), blk.nu2.tolist(),
+                   blk.nu3.tolist(), blk.nu_inf.tolist(), blk.genus.tolist())
+        out.write((sep if blk.lo > 1 else "") + sep.join(map(row.__mod__, rows)))
+    out.write(trailer)
 
 
 def _cmd_missed(args: argparse.Namespace, out: TextIO) -> None:
@@ -181,11 +175,11 @@ def _cmd_parity(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> None:
-    reports = bounds.check_bounds_range(1, args.max, threads=args.threads)
+    reports, mu12 = scan(1, args.max, bounds.bound_reports, bounds.mu_over_12_violations,
+                         threads=args.threads)
     violations = [r.n for r in reports if r.is_violation]
     equality = [r.n for r in reports if r.lower_equality]
     expected = bounds.expected_equality_levels(1, args.max)
-    mu12 = bounds.mu_over_12_bound_check(1, args.max, threads=args.threads)
     ok = not violations and not mu12 and equality == expected
     record = {
         "max": args.max,
@@ -298,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_constants)
 
     sp = sub.add_parser("dirichlet", parents=[common], help="partial F(s) against the zeta product")
-    sp.add_argument("--s", type=float, required=True, help="finite, > 1")
+    sp.add_argument("--s", type=float, required=True, help=f"1 < s <= {stats.S_MAX:g}")
     sp.set_defaults(func=_cmd_dirichlet)
 
     return p
@@ -315,9 +309,15 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ValueError(f"--{flag} must be >= 1, got {value}")
         if args.output is None:
             func(args, sys.stdout)
+            sys.stdout.flush()
         else:
             with open(args.output, "w", encoding="utf-8", newline="") as out:
                 func(args, out)
+    except BrokenPipeError:
+        # the reader is gone; send what is left to devnull so the final
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

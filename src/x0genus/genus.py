@@ -18,7 +18,8 @@ ConsistencyError rather than rounding.
 For batch ranges there is a segmented, numpy-vectorized sieve
 (breakdown_block / iter_blocks) that computes all five quantities for every
 level in a window.  Segments are fixed-size and independent, so results are
-identical no matter how work is sharded across threads.
+identical no matter how work is sharded across threads.  scan feeds each
+block of one such pass to any number of reducers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -176,6 +177,10 @@ class GenusBlock:
             n, int(self.mu[i]), int(self.nu2[i]), int(self.nu3[i]),
             int(self.nu_inf[i]), int(self.genus[i]),
         )
+
+    def where(self, mask: np.ndarray) -> list[int]:
+        """The levels at which a mask over the block is true, ascending."""
+        return (np.nonzero(mask)[0] + self.lo).tolist()
 
 
 def _hits(lo: int, hi: int, steps: np.ndarray):
@@ -367,13 +372,24 @@ def iter_blocks(
             yield breakdown_block(a, min(a + segment - 1, hi), primes)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        window = workers * 2
         pending = []
-        it = iter(starts)
-        for a in it:
+        for a in starts:
             pending.append(pool.submit(breakdown_block, a, min(a + segment - 1, hi), primes))
-            if len(pending) >= window:
+            if len(pending) >= 2 * workers:
                 yield pending.pop(0).result()
         while pending:
             yield pending.pop(0).result()
 
+
+def scan(lo: int, hi: int, *reducers: Callable[[GenusBlock], list], threads: int = 1) -> list[list]:
+    """Sieve [lo, hi] once and pass every block to each reducer.
+
+    A reducer maps a block to a list.  The result holds one list per
+    reducer, its lists joined in level order; blocks arrive in order
+    whatever `threads` is, so no result depends on it.
+    """
+    out: list[list] = [[] for _ in reducers]
+    for blk in iter_blocks(lo, hi, threads=threads):
+        for acc, reduce in zip(out, reducers):
+            acc.extend(reduce(blk))
+    return out

@@ -28,14 +28,14 @@ by bracketed root finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, fsum, inf, isqrt, log, pi
+from math import factorial, fsum, isqrt, log, pi
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .arith import factorize, primes_in_progression, primes_up_to
-from .genus import ConsistencyError, iter_blocks
+from .genus import ConsistencyError, scan
 
 AVG_RATIO_TARGET = 5.0 / (4.0 * pi**2)  # limit of (1/B) sum g0(N)/N
 AVG_SUM_TARGET = 5.0 / (8.0 * pi**2)  # limit of (1/B^2) sum g0(N)
@@ -59,6 +59,18 @@ DEFAULT_DIRICHLET_TERMS = 10**6
 # mu(N)/N = prod_{p | N} (1 + 1/p) first reaches 4 when N has the eleven
 # primes up to 31, so mu/N < 4 for every N below their product
 MU_RATIO_BELOW_FOUR_LIMIT = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31
+
+# Largest s of F(s) and its tail bound.  zeta_with_error's remainder is about
+# s**17 * M**(-s-17), which past s = 1e18 reads inf * 0 = nan, and the tail
+# bound's (s - 1)**2 overflows past 1.3e154.  zeta_identity_check takes zeta
+# at 2s + 2, so zeta accepts s up to 2 S_MAX + 2, still 500 times below 1e18.
+S_MAX = 1e15
+
+
+def _require_s(s: float, what: str, ceiling: float = S_MAX) -> None:
+    """Refuse s outside (1, ceiling]: the pole at 1, nan, and overflow above."""
+    if not 1.0 < s <= ceiling:
+        raise ValueError(f"{what} is evaluated only for 1 < s <= {ceiling:.17g}, got {s}")
 
 
 def _require_odd_prime(ell: int) -> None:
@@ -98,8 +110,7 @@ def zeta_with_error(s: float) -> tuple[float, float]:
     For real s the remainder R is bounded by the first omitted term, which
     is what the second return value reports (far below 1e-15 here).
     """
-    if not 1.0 < s < inf:
-        raise ValueError(f"zeta is evaluated only for finite s > 1 (pole at s = 1), got {s}")
+    _require_s(s, "zeta (pole at s = 1)", 2.0 * S_MAX + 2.0)
     m = float(_ZETA_CUTOFF)
     n = np.arange(1.0, m + 1.0)
     value = float(np.sum(n ** (-s))) + m ** (1.0 - s) / (s - 1.0) - 0.5 * m ** (-s)
@@ -144,16 +155,12 @@ def average_partial(bound: int, threads: int = 1) -> AverageReport:
     """
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
-    ratio_parts = []
-    genus_total = 0
-    for blk in iter_blocks(1, bound, threads=threads):
-        n = np.arange(blk.lo, blk.hi + 1, dtype=np.float64)
-        ratio_parts.append(float(np.sum(blk.genus / n)))
-        genus_total += int(blk.genus.sum())
+    ratio_parts, genus_parts = scan(1, bound, lambda b: [float(np.sum(b.genus / b.levels))],
+                                    lambda b: [int(b.genus.sum())], threads=threads)
     return AverageReport(
         bound=bound,
         avg_ratio=fsum(ratio_parts) / bound,
-        avg_genus_over_b=genus_total / bound**2,
+        avg_genus_over_b=sum(genus_parts) / bound**2,
     )
 
 
@@ -162,15 +169,12 @@ def dirichlet_F(s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS, threads: int =
 
     The omitted tail is positive and below dirichlet_tail_bound(s, n_terms).
     """
-    if not 1.0 < s < inf:
-        raise ValueError(f"F has a pole at s = 1 and is summed only for finite s > 1, got {s}")
+    _require_s(s, "F (pole at s = 1)")
     if n_terms < 1:
         raise ValueError(f"need n_terms >= 1, got {n_terms}")
-    parts = []
-    for blk in iter_blocks(1, n_terms, threads=threads):
-        n = np.arange(blk.lo, blk.hi + 1, dtype=np.float64)
-        parts.append(float(np.sum(blk.mu * n ** (-s - 1.0))))
-    return fsum(parts)
+    parts = scan(1, n_terms, lambda b: [float(np.sum(b.mu * b.levels ** (-s - 1.0)))],
+                 threads=threads)
+    return fsum(parts[0])
 
 
 def dirichlet_tail_bound(s: float, n_terms: int) -> float:
@@ -180,8 +184,7 @@ def dirichlet_tail_bound(s: float, n_terms: int) -> float:
     mu(N)/N <= sum_{d | N} 1/d <= 1 + ln N beyond it; both tails are then
     bounded by integrals.
     """
-    if not 1.0 < s < inf:
-        raise ValueError(f"the tail is bounded only for finite s > 1, got {s}")
+    _require_s(s, "the tail bound")
     k = float(MU_RATIO_BELOW_FOUR_LIMIT - 1)
     small = 4.0 * n_terms ** (1.0 - s) / (s - 1.0)
     large = k ** (1.0 - s) * ((1.0 + log(k)) / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
@@ -281,25 +284,23 @@ def bound_3_over_ell_squared(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -
     return d.exact_value + d.truncation_error < 3.0 / ell**2
 
 
+def _genus_residue_counts(m: int, bound: int, threads: int) -> np.ndarray:
+    """Number of levels N <= bound with g0(N) = r (mod m), for each r < m."""
+    if bound < 1:
+        raise ValueError(f"need bound >= 1, got {bound}")
+    parts = scan(1, bound, lambda b: [np.bincount(b.genus % m, minlength=m)], threads=threads)[0]
+    return np.sum(parts, axis=0)
+
+
 def residue_density_empirical(ell: int, bound: int, threads: int = 1) -> float:
     """Frequency of g0(N) = 1 (mod ell) over all levels N <= bound."""
     _require_odd_prime(ell)
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
-    hits = 0
-    for blk in iter_blocks(1, bound, threads=threads):
-        hits += int(np.count_nonzero(blk.genus % ell == 1))
-    return hits / bound
+    return int(_genus_residue_counts(ell, bound, threads)[1]) / bound
 
 
 def even_genus_frequency(bound: int, threads: int = 1) -> float:
     """Frequency of even g0(N) over all levels N <= bound (the ell = 2 case)."""
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
-    hits = 0
-    for blk in iter_blocks(1, bound, threads=threads):
-        hits += int(np.count_nonzero(blk.genus % 2 == 0))
-    return hits / bound
+    return int(_genus_residue_counts(2, bound, threads)[0]) / bound
 
 
 def flagged_residue_classes(ell: int) -> tuple[int, ...]:
@@ -351,11 +352,7 @@ class ResidueHistogram:
 def residue_histogram(ell: int, bound: int, threads: int = 1) -> ResidueHistogram:
     """Histogram of g0(N) mod ell over all levels N <= bound."""
     _require_odd_prime(ell)
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
-    counts = np.zeros(ell, dtype=np.int64)
-    for blk in iter_blocks(1, bound, threads=threads):
-        counts += np.bincount(blk.genus % ell, minlength=ell)
+    counts = _genus_residue_counts(ell, bound, threads)
     flagged = flagged_residue_classes(ell)
     primitive = two_is_primitive_root(ell)
     enrichment = None
@@ -384,19 +381,14 @@ def restricted_congruence_check(ell: int, bound: int, threads: int = 1) -> list[
     mask = np.zeros(bound + 1, dtype=bool)
     for q in qs:
         mask[int(q) :: int(q)] = True
-    bad: list[int] = []
-    for blk in iter_blocks(1, bound, threads=threads):
+
+    def violations(blk):
         sel = mask[blk.lo : blk.hi + 1]
-        if not np.any(sel):
-            continue
-        g = blk.genus[sel]
-        ni = blk.nu_inf[sel]
-        if np.any(ni % 2):
+        if np.any(blk.nu_inf[sel] % 2):
             raise ConsistencyError("odd cusp count on a level with a factor = -1 mod 12*ell")
-        levels = np.nonzero(sel)[0] + blk.lo
-        viol = (g - 1 + ni // 2) % ell != 0
-        bad.extend(int(n) for n in levels[viol])
-    return bad
+        return blk.where(sel & ((blk.genus - 1 + blk.nu_inf // 2) % ell != 0))
+
+    return scan(1, bound, violations, threads=threads)[0]
 
 
 def squarefree_fraction(bound: int) -> float:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import factorize, primes_up_to
-from .genus import iter_blocks
+from .genus import iter_blocks, scan
 
 # attained_genera refuses scans past this many levels (time, not memory)
 DEFAULT_SCAN_CAPACITY = 3 * 10**8
@@ -183,12 +183,8 @@ def verify_parity_classification(limit: int, threads: int = 1) -> list[int]:
     Expected empty.
     """
     member = family_membership_bitmap(limit)
-    bad: list[int] = []
-    for blk in iter_blocks(1, limit, threads=threads):
-        even = blk.genus % 2 == 0
-        mism = np.nonzero(even != member[blk.lo : blk.hi + 1])[0]
-        bad.extend(int(i) + blk.lo for i in mism)
-    return bad
+    return scan(1, limit, lambda b: b.where((b.genus % 2 == 0) != member[b.lo : b.hi + 1]),
+                threads=threads)[0]
 
 
 def distinct_odd_prime_counts(limit: int) -> np.ndarray:
@@ -209,16 +205,13 @@ def power_of_two_congruence_check(limit: int, threads: int = 1) -> list[int]:
     Expected empty.
     """
     s_counts = distinct_odd_prime_counts(limit)
-    bad: list[int] = []
-    for blk in iter_blocks(1, limit, threads=threads):
+
+    def violations(blk):
         s = s_counts[blk.lo : blk.hi + 1].astype(np.int64)
-        in_scope = s > 2
-        if not np.any(in_scope):
-            continue
         modulus_mask = (np.int64(1) << np.maximum(s - 2, 0)) - 1
-        viol = in_scope & (((blk.genus - 1) & modulus_mask) != 0)
-        bad.extend(int(i) + blk.lo for i in np.nonzero(viol)[0])
-    return bad
+        return blk.where((s > 2) & (((blk.genus - 1) & modulus_mask) != 0))
+
+    return scan(1, limit, violations, threads=threads)[0]
 
 
 def even_attained_count(x: int, capacity: int = DEFAULT_SCAN_CAPACITY, threads: int = 1) -> tuple[int, float]:

@@ -1,15 +1,30 @@
 """Command line surface: formats, schemas, exit codes, determinism."""
 
+import importlib
 import io
 import json
+import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from x0genus.cli import SCHEMAS, main
+from x0genus.genus import SEGMENT, genus
+from x0genus.stats import S_MAX
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def checkout_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(argv):
@@ -230,6 +245,80 @@ def test_module_entry_point():
         [sys.executable, "-m", "x0genus", "genus", "11"],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
     assert proc.returncode == 0
     assert "genus=1" in proc.stdout
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "x0genus", "table", "--max", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=checkout_env(),
+    )
+    assert proc.stdout.readline() == b"1 1 1 1 1 0\n"
+    proc.stdout.close()  # the rest, megabytes, now meets a closed pipe
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+# one row past SEGMENT + 27: the table spans two blocks, cut after 131072
+TABLE_ACROSS_CUT = SEGMENT + 28
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_table_rows_across_a_segment_cut(fmt, tmp_path):
+    target = tmp_path / f"table.{fmt}"
+    argv = ["table", "--max", str(TABLE_ACROSS_CUT), "--format", fmt, "--output", str(target)]
+    code, _, err = run(argv)
+    assert code == 0, err
+    text = target.read_text()
+    if fmt == "json":
+        payload = json.loads(text)
+        jsonschema.validate(payload, SCHEMAS["table"])
+        assert payload["max"] == TABLE_ACROSS_CUT
+        rows = payload["rows"]
+    else:
+        lines = text.splitlines()
+        if fmt == "csv":
+            assert lines.pop(0) == "n,mu,nu2,nu3,nu_inf,genus"
+        rows = [[int(v) for v in line.split("," if fmt == "csv" else " ")] for line in lines]
+    assert len(rows) == TABLE_ACROSS_CUT == 131100
+    assert [r[0] for r in rows] == list(range(1, TABLE_ACROSS_CUT + 1))
+    for n in (1, SEGMENT, SEGMENT + 1, TABLE_ACROSS_CUT):
+        b = genus(n)
+        assert rows[n - 1] == [b.n, b.mu, b.nu2, b.nu3, b.nu_inf, b.genus]
+
+
+def test_bounds_sieves_the_range_once(monkeypatch):
+    genus_module = importlib.import_module("x0genus.genus")
+    original = genus_module.iter_blocks
+    passes = []
+
+    def counting(lo, hi, *args, **kwargs):
+        passes.append((lo, hi))
+        return original(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(genus_module, "iter_blocks", counting)
+    code, out, err = run(["bounds", "--max", "140000"])
+    assert code == 0, err
+    assert "ok=true" in out.splitlines()
+    assert passes == [(1, 140000)]
+
+
+def test_dirichlet_at_and_above_the_s_ceiling():
+    payload = run_json(["dirichlet", "--s", repr(S_MAX)])
+    jsonschema.validate(payload, SCHEMAS["dirichlet"])
+    assert payload["ok"] is True
+    numbers = ("s", "lhs", "rhs", "gap", "tail_bound", "rhs_error")
+    assert all(math.isfinite(payload[k]) for k in numbers)
+    for s in (math.nextafter(S_MAX, math.inf), 1e19, 1e200):
+        code, out, err = run(["dirichlet", "--s", repr(s)])
+        assert code == 1, s
+        assert err.startswith("error:") and "1 < s <= 1000000000000000" in err, err
+        assert out == ""

@@ -27,6 +27,7 @@ from x0genus.genus import (
     nu2,
     nu3,
     nu_infinity,
+    scan,
     theta,
 )
 import oracles
@@ -344,3 +345,32 @@ def test_iter_blocks_threads_validated_and_clamped(monkeypatch):
     list(iter_blocks(1, 1000, segment=100, threads=8))
     list(iter_blocks(1, 100, segment=100, threads=8))
     assert pool_sizes == [4, 3]
+
+
+def test_scan_feeds_every_reducer_from_one_pass():
+    hi = 2 * SEGMENT + 500
+
+    def evens(blk):
+        return blk.where(blk.genus % 2 == 0)
+
+    def sums(blk):
+        return [int(blk.genus.sum())]
+
+    table = genus_table(hi)
+    want_evens = (np.nonzero(table.genus % 2 == 0)[0] + 1).tolist()
+    want_sums = [int(table.genus[a : a + SEGMENT].sum()) for a in range(0, hi, SEGMENT)]
+    assert len(want_sums) == 3
+    for threads in (1, 2):
+        both = scan(1, hi, evens, sums, threads=threads)
+        alone = [scan(1, hi, evens, threads=threads)[0], scan(1, hi, sums, threads=threads)[0]]
+        assert both == alone == [want_evens, want_sums]
+        assert all(type(n) is int for n in both[0])
+    assert scan(5, 4, evens, sums) == [[], []]
+    assert scan(5, 4, evens, sums, threads=2) == [[], []]
+
+
+def test_package_genus_is_the_function_and_the_module_stays_reachable():
+    import x0genus
+
+    assert x0genus.genus(11).genus == 1
+    assert importlib.import_module("x0genus.genus").SEGMENT == 1 << 17

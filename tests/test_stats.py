@@ -1,7 +1,7 @@
 """Averages, the Dirichlet identity, residue densities, and growth constants."""
 
 from fractions import Fraction
-from math import log, pi
+from math import inf, isfinite, log, nextafter, pi
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from x0genus.stats import (
     DENSITY_BOUND_TABLE,
     MU_RATIO_BELOW_FOUR_LIMIT,
     SQUAREFREE_DENSITY,
+    S_MAX,
     asymptotic_constants,
     average_partial,
     bound_3_over_ell_squared,
@@ -156,6 +157,26 @@ def test_dirichlet_validations():
             dirichlet_F(s)
         with pytest.raises(ValueError):
             dirichlet_tail_bound(s, 100)
+
+
+def test_s_ceiling():
+    chk = zeta_identity_check(S_MAX, n_terms=1000)
+    fields = (chk.lhs, chk.rhs, chk.gap, chk.tail_bound, chk.rhs_error)
+    assert all(isfinite(v) for v in fields) and chk.ok
+    # zeta_identity_check takes zeta at 2s + 2
+    assert all(isfinite(v) for v in zeta_with_error(2 * S_MAX + 2))
+    above = nextafter(S_MAX, inf)
+    for s in (above, 1e19, 1e30, 1e200):
+        for call in (
+            lambda: dirichlet_F(s, 10),
+            lambda: dirichlet_tail_bound(s, 10),
+            lambda: zeta_identity_check(s, 10),
+        ):
+            with pytest.raises(ValueError, match="1 < s <= 1000000000000000,"):
+                call()
+    for s in (nextafter(2 * S_MAX + 2, inf), 1e19, 1e30):
+        with pytest.raises(ValueError, match="1 < s <= 2000000000000002,"):
+            zeta_with_error(s)
 
 
 def test_tail_bound_monotone():
