@@ -28,6 +28,8 @@ FORMATS = ("plain", "csv", "json")
 CASES = {
     "genus-11": ["genus", "11"],
     "genus-1155": ["genus", "1155"],
+    "genus-999985999949": ["genus", "999985999949"],  # 999983 * 1000003
+    "genus-18446744073709551615": ["genus", "18446744073709551615"],  # 2**64 - 1
     "table-40": ["table", "--max", "40"],
     "missed-11000": ["missed", "--max", "11000"],
     "parity-140000": ["parity", "--max", "140000"],
