@@ -1,17 +1,18 @@
 """Prime sieves, factorization, and elementary arithmetic functions.
 
 Everything downstream (genus formulas, bound checks, density scans) reduces
-to prime factorizations.  Isolated levels are factored by trial division up
-to sqrt(n); whole ranges never are, since the segmented block sieve in
-genus.py strips the primes from every level of a window at once, with the
-primes from primes_up_to.
+to prime factorizations.  An isolated level 1 <= n < 2**64 is factored by
+trial division by the primes below 1000, a Miller-Rabin test of what is
+left and Pollard-Brent rho on composites; whole ranges never are, since the
+segmented block sieve in genus.py strips the primes from every level of a
+window at once, with the primes from primes_up_to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -42,33 +43,98 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
+# factorize's domain is 1 <= n < FACTOR_LIMIT.  Below it the Miller-Rabin
+# bases are exact and Pollard-Brent rho needs about n**(1/4) = 2**16 steps.
+FACTOR_LIMIT = 2**64
+
+# trial divisors: every prime below 1000
+_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1)))
+# the first 12 primes are strong-pseudoprime witnesses for every composite
+# below 3.18e23 (Jiang and Deng 2014; Sorenson and Webster 2015)
+_MR_BASES = _SMALL_PRIMES[:12]
+# rho steps multiplied together between two gcds
+_RHO_BATCH = 128
+
+
 def factorize(n: int) -> Factorization:
-    """Factor n by trial division (suitable for isolated queries)."""
-    if n < 1:
-        raise ValueError(f"cannot factor {n}: need n >= 1")
+    """Factor 1 <= n < 2**64 exactly, in time bounded on that domain.
+
+    Primes below 1000 are divided out, the cofactor is tested with
+    Miller-Rabin and composites are split with Pollard-Brent rho.
+    """
+    if not 1 <= n < FACTOR_LIMIT:
+        raise ValueError(f"cannot factor {n}: need 1 <= n < 2**64")
     m = n
-    factors = []
-    for p in (2, 3):
-        e = 0
+    exponents: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
         while m % p == 0:
             m //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    # remaining prime factors are of the form 6k +- 1
-    d = 5
-    while d * d <= m:
-        for q in (d, d + 2):
-            e = 0
-            while m % q == 0:
-                m //= q
-                e += 1
-            if e:
-                factors.append((q, e))
-        d += 6
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+            exponents[p] = exponents.get(p, 0) + 1
+    stack = [m] if m > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            exponents[m] = exponents.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            stack += (d, m // d)
+    return Factorization(n, tuple(sorted(exponents.items())))
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 1 with no prime factor below 1000."""
+    if n < 1000**2:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the composite n, by Pollard-Brent rho (Brent 1980).
+
+    Iterates y -> y**2 + c from y = 2 and multiplies _RHO_BATCH differences
+    together between gcds.  When a batch's gcd is n, the batch is stepped
+    again one gcd at a time; if that also meets n, c moves on.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 @lru_cache(maxsize=8)

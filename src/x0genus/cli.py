@@ -254,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("genus", parents=[common], help="breakdown for a single level")
-    sp.add_argument("n", type=int, help="level, >= 1")
+    sp.add_argument("n", type=int, help="level, 1 <= n < 2**64")
     sp.set_defaults(func=_cmd_genus)
 
     sp = sub.add_parser("table", parents=[common], help="breakdowns for all levels up to --max")

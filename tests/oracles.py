@@ -6,7 +6,8 @@ Both sums sieve over d in O(limit log limit), touching none of the
 multiplicative machinery they are meant to check.  The growth constants are
 solved again from their defining equations at 50 digits with mpmath.  The
 block sieve's earlier form, one strided pass per prime, is kept here as the
-reference for the current one.
+reference for the current one; so is the trial division that factorize
+used before Miller-Rabin and Pollard-Brent rho.
 
 Also here: the exhaustive residue scans and the divisor-sum cusp count for
 single levels, a smallest-prime-factor table with the scalar closed forms
@@ -81,6 +82,35 @@ def _phi_by_counting(limit: int) -> np.ndarray:
     for m in range(1, limit + 1):
         phi[m] = sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
     return phi
+
+
+def factorize_trial(n: int) -> Factorization:
+    """Factor n by trial division (suitable for isolated queries)."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: need n >= 1")
+    m = n
+    factors = []
+    for p in (2, 3):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+    # remaining prime factors are of the form 6k +- 1
+    d = 5
+    while d * d <= m:
+        for q in (d, d + 2):
+            e = 0
+            while m % q == 0:
+                m //= q
+                e += 1
+            if e:
+                factors.append((q, e))
+        d += 6
+    if m > 1:
+        factors.append((m, 1))
+    return Factorization(n, tuple(factors))
 
 
 def factor_dumb(n: int) -> tuple[tuple[int, int], ...]:

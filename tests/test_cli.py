@@ -7,14 +7,17 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from x0genus.arith import Factorization
 from x0genus.cli import SCHEMAS, main
-from x0genus.genus import SEGMENT, genus
+from x0genus.genus import SEGMENT, breakdown_from_factorization, genus
 from x0genus.stats import S_MAX
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -56,6 +59,17 @@ def test_genus_json_schema():
     payload = run_json(["genus", "11"])
     jsonschema.validate(payload, SCHEMAS["genus"])
     assert payload == {"n": 11, "mu": 12, "nu2": 0, "nu3": 0, "nu_inf": 2, "genus": 1}
+
+
+def test_genus_near_2_to_the_64_answers_in_bounded_time():
+    p, q = 4294967279, 4294967291  # the two largest primes below 2**32
+    start = time.perf_counter()
+    code, out, _ = run(["genus", str(p * q)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    b = breakdown_from_factorization(Factorization(p * q, ((p, 1), (q, 1))))
+    assert out == "".join(f"{k}={v}\n" for k, v in asdict(b).items())
+    assert elapsed < 0.5, elapsed
 
 
 def test_table_csv():
@@ -216,6 +230,16 @@ def test_invalid_input_exits_1():
         code, out, err = run(argv)
         assert code == 1, argv
         assert err.startswith("error:")
+        assert out == ""
+    # at and above 2**64 (2**64 + 13 is prime), refused before any factoring
+    for argv in (
+        ["genus", "18446744073709551616"],
+        ["density", "--ell", "18446744073709551629"],
+        ["histogram", "--ell", "18446744073709551629", "--max", "10"],
+    ):
+        code, out, err = run(argv)
+        assert code == 1, argv
+        assert err.startswith("error:") and "2**64" in err, err
         assert out == ""
 
 
