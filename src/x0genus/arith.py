@@ -10,6 +10,7 @@ window at once, with the primes from primes_up_to.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
@@ -62,6 +63,7 @@ def factorize(n: int) -> Factorization:
     Primes below 1000 are divided out, the cofactor is tested with
     Miller-Rabin and composites are split with Pollard-Brent rho.
     """
+    n = operator.index(n)  # a numpy integer would wrap in rho's squaring
     if not 1 <= n < FACTOR_LIMIT:
         raise ValueError(f"cannot factor {n}: need 1 <= n < 2**64")
     m = n
