@@ -152,12 +152,12 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(~composite)[0].astype(np.int64)
 
 
-def primes_in_progression(modulus: int, residue: int, limit: int) -> list[int]:
-    """Primes p <= limit with p = residue (mod modulus), ascending."""
+def primes_in_progression(modulus: int, residue: int, limit: int) -> np.ndarray:
+    """Primes p <= limit with p = residue (mod modulus), ascending, as an int64 array."""
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     ps = primes_up_to(limit)
-    return [int(p) for p in ps[ps % modulus == residue % modulus]]
+    return ps[ps % modulus == residue % modulus]
 
 
 def euler_phi(f: Factorization) -> int:

@@ -6,8 +6,9 @@ The lower bound
 
 holds for every level, with equality exactly when N = p**2 for a prime
 p = 1 (mod 12).  Both the bound and the equality test are decided in exact
-integer arithmetic (isqrt plus a squared comparison), never by comparing
-floats.
+integer arithmetic, never by comparing floats: with lhs = N - 8 - 12*g0(N),
+the bound fails when lhs > 0 and lhs**2 > 25*N, and equality holds when
+lhs > 0 and lhs**2 = 25*N (then 5 | lhs, so N is the square (lhs/5)**2).
 
 The explicit upper bound, valid for N > 2, is
 
@@ -114,11 +115,7 @@ def bound_reports(blk: GenusBlock) -> list[BoundsReport]:
     g = blk.genus
     lhs = n - 8 - 12 * g
     lower_bad = (lhs > 0) & (lhs * lhs > 25 * n)
-    s = np.asarray(np.sqrt(n.astype(np.float64)), dtype=np.int64)
-    # float sqrt then exact adjustment gives isqrt for this range
-    s = np.where((s + 1) * (s + 1) <= n, s + 1, s)
-    s = np.where(s * s > n, s - 1, s)
-    equality = (s * s == n) & (12 * g + 5 * s + 8 == n)
+    equality = (lhs > 0) & (lhs * lhs == 25 * n)
     upper_bad = np.zeros(len(blk), dtype=bool)
     big = n > 2
     if np.any(big):

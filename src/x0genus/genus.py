@@ -347,15 +347,10 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     return GenusBlock(lo, hi, mu_a, nu2_a, nu3_a, nui_a, g)
 
 
-def iter_blocks(
-    lo: int,
-    hi: int,
-    segment: int = SEGMENT,
-    threads: int = 1,
-) -> Iterator[GenusBlock]:
+def iter_blocks(lo: int, hi: int, threads: int = 1) -> Iterator[GenusBlock]:
     """Yield breakdown blocks covering [lo, hi] in order.
 
-    Segmentation is fixed by `segment`, never by `threads`; worker count
+    Segmentation is fixed by SEGMENT, never by `threads`; worker count
     only changes how many segments are in flight, so every consumer sees
     the same blocks in the same order.  `threads` must be at least 1; the
     pool gets no more workers than there are CPUs or segments.
@@ -365,16 +360,16 @@ def iter_blocks(
     if hi < lo:
         return
     primes = primes_up_to(isqrt(hi))
-    starts = range(lo, hi + 1, segment)
+    starts = range(lo, hi + 1, SEGMENT)
     workers = min(threads, os.cpu_count() or 1, len(starts))
     if workers <= 1:
         for a in starts:
-            yield breakdown_block(a, min(a + segment - 1, hi), primes)
+            yield breakdown_block(a, min(a + SEGMENT - 1, hi), primes)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = []
         for a in starts:
-            pending.append(pool.submit(breakdown_block, a, min(a + segment - 1, hi), primes))
+            pending.append(pool.submit(breakdown_block, a, min(a + SEGMENT - 1, hi), primes))
             if len(pending) >= 2 * workers:
                 yield pending.pop(0).result()
         while pending:

@@ -22,17 +22,16 @@ toward the classes {1 - 2^k mod ell}; histograms expose that bias.
 
 The growth constants a0, b, c of the attained-value counting function
 are derived from roots of two transcendental equations in (0, 1), found
-by bracketed root finding.
+by bisection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, fsum, isqrt, log, pi
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .arith import factorize, primes_in_progression, primes_up_to
 from .genus import ConsistencyError, scan
@@ -267,7 +266,7 @@ def residue_density_exact(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> R
     _require_odd_prime(ell)
     if prime_limit < 2 * ell:
         raise ValueError(f"need prime_limit >= 2*ell = {2 * ell}, got {prime_limit}")
-    s = np.asarray(primes_in_progression(ell, ell - 1, prime_limit), dtype=np.float64)
+    s = primes_in_progression(ell, ell - 1, prime_limit).astype(np.float64)
     product = float(np.prod(1.0 - 1.0 / (s * s + s)))
     exact = 1.0 - (1.0 - float(ell) ** -3) * product
     return ResidueDensity(
@@ -321,14 +320,11 @@ def flagged_residue_classes(ell: int) -> tuple[int, ...]:
 
 
 def two_is_primitive_root(ell: int) -> bool:
-    """Whether 2 generates the full multiplicative group mod ell."""
-    _require_odd_prime(ell)
-    order = 1
-    v = 2 % ell
-    while v != 1:
-        v = v * 2 % ell
-        order += 1
-    return order == ell - 1
+    """Whether 2 generates the full multiplicative group mod ell.
+
+    The classes 1 - 2^k are as many as the powers of 2 mod ell.
+    """
+    return len(flagged_residue_classes(ell)) == ell - 1
 
 
 @dataclass(frozen=True)
@@ -422,8 +418,25 @@ class AsymptoticConstants:
     c: float
 
 
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of f in [lo, hi] to float precision, by bisection.
+
+    f must change sign on the bracket or vanish at an end.  The bracket is
+    halved until its midpoint equals an end, about 60 steps on (0, 1).
+    """
+    sign_lo = np.sign(f(lo))
+    if sign_lo * np.sign(f(hi)) > 0:
+        raise ValueError(f"f has the same sign at both ends of [{lo}, {hi}]")
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if np.sign(f(mid)) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def asymptotic_constants(tolerance: float = 1e-10) -> AsymptoticConstants:
-    """Solve both defining equations by bracketed root finding.
+    """Solve both defining equations by bisection.
 
     1/B + log B - 1 - log 2 is strictly decreasing on (0, 1) with a sign
     change, so the B root is unique.  The A series has positive increasing
@@ -433,9 +446,8 @@ def asymptotic_constants(tolerance: float = 1e-10) -> AsymptoticConstants:
     """
     if not 0.0 < tolerance <= 1e-6:
         raise ValueError(f"tolerance must be in (0, 1e-6], got {tolerance}")
-    xtol = max(tolerance / 10.0, 1e-15)
     log2 = log(2.0)
-    root_b = float(brentq(lambda t: 1.0 / t + log(t) - 1.0 - log2, 1e-12, 1.0 - 1e-12, xtol=xtol))
+    root_b = _bisect(lambda t: 1.0 / t + log(t) - 1.0 - log2, 1e-12, 1.0 - 1e-12)
 
     hi = 0.95
     n_max = 1
@@ -447,7 +459,7 @@ def asymptotic_constants(tolerance: float = 1e-10) -> AsymptoticConstants:
     def series(a: float) -> float:
         return float(np.sum(a**n * coeff)) - 1.0
 
-    root_a = float(brentq(series, 1e-6, hi, xtol=xtol))
+    root_a = _bisect(series, 1e-6, hi)
     return AsymptoticConstants(
         A=root_a,
         B=root_b,

@@ -56,7 +56,7 @@ class MissedValuesReport:
     first_odd_position: Optional[int]  # 1-based index into missed
 
 
-def attained_genera(x: int, capacity: int = DEFAULT_SCAN_CAPACITY, threads: int = 1) -> np.ndarray:
+def attained_genera(x: int, threads: int = 1) -> np.ndarray:
     """Bitmap over [0, x]: bit n set iff some level has genus n.
 
     Completeness is guaranteed by scanning every level below
@@ -65,9 +65,9 @@ def attained_genera(x: int, capacity: int = DEFAULT_SCAN_CAPACITY, threads: int 
     if x < 1:
         raise ValueError(f"need x >= 1, got {x}")
     limit = scan_limit_for(x)
-    if limit > capacity:
+    if limit > DEFAULT_SCAN_CAPACITY:
         raise ValueError(
-            f"x={x} needs a scan over {limit} levels, beyond capacity {capacity}"
+            f"x={x} needs a scan over {limit} levels, beyond capacity {DEFAULT_SCAN_CAPACITY}"
         )
     attained = np.zeros(x + 1, dtype=bool)
     for blk in iter_blocks(1, limit, threads=threads):
@@ -76,13 +76,13 @@ def attained_genera(x: int, capacity: int = DEFAULT_SCAN_CAPACITY, threads: int 
     return attained
 
 
-def missed_values(x: int, capacity: int = DEFAULT_SCAN_CAPACITY, threads: int = 1) -> MissedValuesReport:
+def missed_values(x: int, threads: int = 1) -> MissedValuesReport:
     """Complement of the attained set within [1, x], with parity bookkeeping.
 
     Zero is attained (level 1 has genus 0) and excluded from the counts,
     which cover positive n only.
     """
-    attained = attained_genera(x, capacity=capacity, threads=threads)
+    attained = attained_genera(x, threads=threads)
     missed = np.nonzero(~attained[1:])[0] + 1
     odd = missed[missed % 2 == 1]
     first_odd = None
@@ -214,12 +214,12 @@ def power_of_two_congruence_check(limit: int, threads: int = 1) -> list[int]:
     return scan(1, limit, violations, threads=threads)[0]
 
 
-def even_attained_count(x: int, capacity: int = DEFAULT_SCAN_CAPACITY, threads: int = 1) -> tuple[int, float]:
+def even_attained_count(x: int, threads: int = 1) -> tuple[int, float]:
     """Count of even attained values in [1, x], and its ratio to x/log x.
 
     The ratio is a slow-convergence diagnostic (the count is asymptotically
     proportional to x/log x); it is reported, never gated.
     """
-    attained = attained_genera(x, capacity=capacity, threads=threads)
+    attained = attained_genera(x, threads=threads)
     count = int(np.count_nonzero(attained[2::2]))
     return count, count / (x / log(x))

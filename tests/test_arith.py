@@ -158,12 +158,13 @@ def test_prime_count_against_trial_division():
 
 
 def test_primes_in_progression():
-    assert primes_in_progression(4, 3, 50) == [3, 7, 11, 19, 23, 31, 43, 47]
+    assert primes_in_progression(4, 3, 50).tolist() == [3, 7, 11, 19, 23, 31, 43, 47]
     # residue is reduced mod modulus
-    assert primes_in_progression(4, 7, 50) == primes_in_progression(4, 3, 50)
+    assert primes_in_progression(4, 7, 50).tolist() == primes_in_progression(4, 3, 50).tolist()
     ps = primes_in_progression(12, 11, 10**4)
+    assert ps.dtype == np.int64
     assert all(p % 12 == 11 for p in ps)
-    assert ps == sorted(ps)
+    assert ps.tolist() == sorted(ps.tolist())
     with pytest.raises(ValueError):
         primes_in_progression(0, 1, 100)
 

@@ -275,6 +275,20 @@ def test_module_entry_point():
     assert "genus=1" in proc.stdout
 
 
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test oracle
+    script = (
+        "import sys, x0genus, x0genus.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "assert x0genus.cli.main(['constants']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=checkout_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "A=0.54259858" in proc.stdout
+
+
 def test_closed_pipe_exits_1_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "x0genus", "table", "--max", "200000"],
@@ -304,9 +318,12 @@ def test_table_rows_across_a_segment_cut(fmt, tmp_path):
     text = target.read_text()
     if fmt == "json":
         payload = json.loads(text)
-        jsonschema.validate(payload, SCHEMAS["table"])
-        assert payload["max"] == TABLE_ACROSS_CUT
         rows = payload["rows"]
+        # jsonschema takes about 10 s over all 131100 rows: the schema sees
+        # the first and last rows, plain Python the shape of every row
+        jsonschema.validate(payload | {"rows": rows[:3] + rows[-3:]}, SCHEMAS["table"])
+        assert all(type(r) is list and len(r) == 6 and all(type(v) is int for v in r) for r in rows)
+        assert payload["max"] == TABLE_ACROSS_CUT
     else:
         lines = text.splitlines()
         if fmt == "csv":

@@ -332,18 +332,19 @@ def test_iter_blocks_threads_validated_and_clamped(monkeypatch):
 
     monkeypatch.setattr(genus_module, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(genus_module.os, "cpu_count", lambda: 4)
-    serial = list(iter_blocks(1, 1000, segment=100))
+    monkeypatch.setattr(genus_module, "SEGMENT", 100)
+    serial = list(iter_blocks(1, 1000))
     # 10 segments, 4 CPUs: the CPU count caps the pool
-    clamped = list(iter_blocks(1, 1000, segment=100, threads=10**9))
+    clamped = list(iter_blocks(1, 1000, threads=10**9))
     # 3 segments: the segment count caps it
-    list(iter_blocks(1, 300, segment=100, threads=10**9))
+    list(iter_blocks(1, 300, threads=10**9))
     assert pool_sizes == [4, 3]
     for a, b in zip(serial, clamped):
         _assert_blocks_equal(a, b)
     # one CPU or one segment: no pool at all
     monkeypatch.setattr(genus_module.os, "cpu_count", lambda: None)
-    list(iter_blocks(1, 1000, segment=100, threads=8))
-    list(iter_blocks(1, 100, segment=100, threads=8))
+    list(iter_blocks(1, 1000, threads=8))
+    list(iter_blocks(1, 100, threads=8))
     assert pool_sizes == [4, 3]
 
 

@@ -16,6 +16,7 @@ from x0genus.stats import (
     MU_RATIO_BELOW_FOUR_LIMIT,
     SQUAREFREE_DENSITY,
     S_MAX,
+    _bisect,
     asymptotic_constants,
     average_partial,
     bound_3_over_ell_squared,
@@ -329,8 +330,8 @@ def test_restricted_congruence_clean():
     assert restricted_congruence_check(3, 10**5) == []
     assert restricted_congruence_check(5, 3 * 10**4) == []
     # the scans above are not vacuous
-    assert primes_in_progression(36, 35, 10**5)
-    assert primes_in_progression(60, 59, 3 * 10**4)
+    assert primes_in_progression(36, 35, 10**5).size
+    assert primes_in_progression(60, 59, 3 * 10**4).size
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +378,26 @@ def test_constants_regressions():
 def test_constants_against_50_digit_roots():
     mpmath = pytest.importorskip("mpmath")
     ref = growth_constants_mp()
-    c = asymptotic_constants(1e-10)
-    for name in ("A", "B", "a0", "b", "c"):
-        assert abs(getattr(c, name) - float(ref[name])) < 1e-10, name
+    # bisection runs to float precision whatever the tolerance
+    for tol in (1e-10, 1e-8, 1e-6):
+        c = asymptotic_constants(tol)
+        for name in ("A", "B", "a0", "b", "c"):
+            assert abs(getattr(c, name) - float(ref[name])) < 1e-10, (tol, name)
     # the digits acceptance gate 08 pins are the seven-digit truncations
     with mpmath.workdps(50):
         for name, pinned in GROWTH_CONSTANT_DIGITS.items():
             assert int(mpmath.floor(ref[name] * 10**7)) == round(pinned * 10**7), name
+
+
+def test_bisect_needs_a_sign_change():
+    for lo, hi in ((0.6, 0.9), (0.1, 0.4)):
+        with pytest.raises(ValueError, match="same sign"):
+            _bisect(lambda t: t - 0.5, lo, hi)
+    assert _bisect(lambda t: t - 0.5, 0.0, 1.0) == 0.5
+    assert _bisect(lambda t: 0.25 - t * t, 0.0, 1.0) == 0.5
+    # a root at either end is found, not refused
+    assert _bisect(lambda t: t, 0.0, 1.0) == 0.0
+    assert _bisect(lambda t: 1.0 - t, 0.0, 1.0) == 1.0
 
 
 def test_constants_tolerance_validation():

@@ -32,8 +32,8 @@ def test_attained_small():
     assert attained_genera(10).all()  # genera 0..10 all occur
     with pytest.raises(ValueError):
         attained_genera(0)
-    with pytest.raises(ValueError):
-        attained_genera(10**6, capacity=10**6)
+    with pytest.raises(ValueError, match="beyond capacity"):
+        attained_genera(25_000_000)  # scans 300,090,041 levels, above 3e8
 
 
 def test_first_missed_value_is_150():
