@@ -141,15 +141,17 @@ def _rho(n: int) -> int:
 
 @lru_cache(maxsize=8)
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as an int64 array."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    composite = np.zeros(limit + 1, dtype=bool)
-    composite[:2] = True
-    for p in range(2, isqrt(limit) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    return np.nonzero(~composite)[0].astype(np.int64)
+    """All primes <= limit, ascending, as an int64 array; cached, so read-only."""
+    primes = np.empty(0, dtype=np.int64)
+    if limit >= 2:
+        composite = np.zeros(limit + 1, dtype=bool)
+        composite[:2] = True
+        for p in range(2, isqrt(limit) + 1):
+            if not composite[p]:
+                composite[p * p :: p] = True
+        primes = np.nonzero(~composite)[0].astype(np.int64)
+    primes.flags.writeable = False
+    return primes
 
 
 def primes_in_progression(modulus: int, residue: int, limit: int) -> np.ndarray:
@@ -158,6 +160,22 @@ def primes_in_progression(modulus: int, residue: int, limit: int) -> np.ndarray:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     ps = primes_up_to(limit)
     return ps[ps % modulus == residue % modulus]
+
+
+def multiples(lo: int, hi: int, steps: np.ndarray):
+    """Every multiple of every step in [lo, hi].
+
+    Returns the window index of each multiple, the position in `steps` of
+    the step it belongs to, and a mask of the steps with at least one
+    multiple.  The multiples of one step are listed in ascending order, the
+    steps one after another.
+    """
+    offset = -lo % steps  # window index of the first multiple
+    count = (hi - lo - offset) // steps + 1  # 0 when that is past hi
+    owner = np.repeat(np.arange(steps.size), count)
+    # k-th multiple of its step: position in the list minus its run's start
+    k = np.arange(owner.size, dtype=np.int64) - (np.cumsum(count) - count)[owner]
+    return offset[owner] + k * steps[owner], owner, count > 0
 
 
 def euler_phi(f: Factorization) -> int:

@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .arith import Factorization, factorize, primes_up_to
+from .arith import Factorization, factorize, multiples, primes_up_to
 
 # Fixed segment width for batch scans.  Sharding over segments of this size
 # is what --threads parallelizes; keeping the width constant makes every
@@ -41,7 +41,7 @@ SEGMENT = 1 << 17
 
 # breakdown_block applies primes up to this one with strided slices, one
 # prime at a time; a larger prime hits a segment at most SEGMENT / 2048 = 64
-# times, and all of those primes are sieved together (see _hits).
+# times, and all of those primes are sieved together (see multiples).
 SMALL_PRIME_LIMIT = SEGMENT >> 6
 
 
@@ -183,22 +183,6 @@ class GenusBlock:
         return (np.nonzero(mask)[0] + self.lo).tolist()
 
 
-def _hits(lo: int, hi: int, steps: np.ndarray):
-    """Every multiple of every step in [lo, hi].
-
-    Returns the window index of each multiple, the position in `steps` of
-    the step it belongs to, and a mask of the steps with at least one
-    multiple.  The multiples of one step are listed in ascending order, the
-    steps one after another.
-    """
-    offset = -lo % steps  # window index of the first multiple
-    count = (hi - lo - offset) // steps + 1  # 0 when that is past hi
-    owner = np.repeat(np.arange(steps.size), count)
-    # k-th multiple of its step: position in the list minus its run's start
-    k = np.arange(owner.size, dtype=np.int64) - (np.cumsum(count) - count)[owner]
-    return offset[owner] + k * steps[owner], owner, count > 0
-
-
 def _require_primes_up_to(primes: np.ndarray, root: int) -> None:
     """Refuse a prime array that misses a prime <= root.
 
@@ -232,7 +216,7 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     Large primes hit a window a few times or not at all, so a loop over them
     would cost one Python iteration per prime for almost no work; instead
     every multiple of every large prime in the window is listed at once
-    (_hits), and the factors go in with unbuffered ufunc.at calls, which
+    (multiples), and the factors go in with unbuffered ufunc.at calls, which
     stay correct when several large primes divide one level.  Higher powers
     take one such pass per exponent j, over the primes with p**j <= hi
     whose power p**(j-1) divides some level of the window.
@@ -260,47 +244,27 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     nu3_a = np.ones(size, dtype=np.int64)
     nui_a = np.ones(size, dtype=np.int64)
 
-    for p in primes[:n_small]:
-        p = int(p)
-        start = ((lo + p - 1) // p) * p
-        if start > hi:
-            continue
-        sl = slice(start - lo, size, p)
-        mu_a[sl] = mu_a[sl] // p * (p + 1)
-        if p == 2:
-            if 4 <= hi:
-                s4 = ((lo + 3) // 4) * 4
-                if s4 <= hi:
-                    nu2_a[s4 - lo :: 4] = 0
-        elif p % 4 == 1:
-            nu2_a[sl] *= 2
-        else:
-            nu2_a[sl] = 0
-        if p == 3:
-            if 9 <= hi:
-                s9 = ((lo + 8) // 9) * 9
-                if s9 <= hi:
-                    nu3_a[s9 - lo :: 9] = 0
-        elif p % 3 == 1:
-            nu3_a[sl] *= 2
-        else:
-            nu3_a[sl] = 0
-        # cusp factor: lift each level from theta(p, j-1) to theta(p, j)
-        # while dividing rem by one power of p per pass
-        pj = p
-        j = 1
-        th_prev = 1
-        while pj <= hi:
-            start_j = ((lo + pj - 1) // pj) * pj
-            if start_j > hi:
-                break
-            slj = slice(start_j - lo, size, pj)
+    # one strided pass per prime power p**j that divides some level: j = 1
+    # sets mu, nu2 and nu3, j = 2 zeroes nu2 for p = 2 and nu3 for p = 3, and
+    # every pass lifts theta(p, j-1) to theta(p, j) and divides rem by p
+    for p in primes[:n_small].tolist():
+        pj, j, th_prev = p, 1, 1
+        while pj <= hi and (first := -lo % pj) < size:
+            sl = slice(first, size, pj)
+            if j == 1:
+                mu_a[sl] = mu_a[sl] // p * (p + 1)
+                if p != 2:
+                    nu2_a[sl] *= 2 if p % 4 == 1 else 0
+                if p != 3:
+                    nu3_a[sl] *= 2 if p % 3 == 1 else 0
+            elif j == 2 and p == 2:
+                nu2_a[sl] = 0
+            elif j == 2 and p == 3:
+                nu3_a[sl] = 0
             th = theta(p, j)
-            nui_a[slj] = nui_a[slj] // th_prev * th
-            rem[slj] //= p
-            th_prev = th
-            pj *= p
-            j += 1
+            nui_a[sl] = nui_a[sl] // th_prev * th
+            rem[sl] //= p
+            pj, j, th_prev = pj * p, j + 1, th
 
     # large primes, all at once: pass j lifts theta(p, j-1) to theta(p, j)
     # and divides rem by p at every level divisible by p**j, as above
@@ -308,7 +272,7 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     pj = large
     j = 1
     while large.size:
-        idx, owner, hit = _hits(lo, hi, pj)
+        idx, owner, hit = multiples(lo, hi, pj)
         p = large[owner]
         if j == 1:
             # p is neither 2 nor 3, so nu2 and nu3 gain a factor 2 or 0

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import factorize, primes_in_progression, primes_up_to
+from .arith import factorize, multiples, primes_in_progression, primes_up_to
 from .genus import ConsistencyError, scan
 
 AVG_RATIO_TARGET = 5.0 / (4.0 * pi**2)  # limit of (1/B) sum g0(N)/N
@@ -373,13 +373,13 @@ def restricted_congruence_check(ell: int, bound: int, threads: int = 1) -> list[
     term.  Expected empty.
     """
     _require_odd_prime(ell)
+    if bound < 1:
+        raise ValueError(f"need bound >= 1, got {bound}")
     qs = primes_in_progression(12 * ell, 12 * ell - 1, bound)
-    mask = np.zeros(bound + 1, dtype=bool)
-    for q in qs:
-        mask[int(q) :: int(q)] = True
 
     def violations(blk):
-        sel = mask[blk.lo : blk.hi + 1]
+        sel = np.zeros(len(blk), dtype=bool)
+        sel[multiples(blk.lo, blk.hi, qs)[0]] = True
         if np.any(blk.nu_inf[sel] % 2):
             raise ConsistencyError("odd cusp count on a level with a factor = -1 mod 12*ell")
         return blk.where(sel & ((blk.genus - 1 + blk.nu_inf // 2) % ell != 0))

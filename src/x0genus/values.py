@@ -9,7 +9,7 @@ Parity is governed by a short classification: g0(N) is even exactly when N
 falls in one of six explicit families (small exceptional levels, four
 prime-power shapes, and two 2*p**r / 4*p**r shapes).  The classification is
 implemented both as a per-level predicate and as a constructive enumeration
-used for whole-range verification.
+of each block's members, checked against the genus parity block by block.
 
 Levels divisible by more than two distinct odd primes satisfy the stronger
 congruence g0(N) = 1 (mod 2**(s-2)), s the number of those primes.
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import factorize, primes_up_to
+from .arith import factorize, multiples, primes_up_to
 from .genus import iter_blocks, scan
 
 # attained_genera refuses scans past this many levels (time, not memory)
@@ -143,37 +143,37 @@ def even_genus_family(n: int) -> ParityFamily:
     return ParityFamily(fid, witness)
 
 
-def family_membership_bitmap(limit: int) -> np.ndarray:
-    """Bool array over [0, limit]: constructive enumeration of all six families.
+def _in_family(m: int, r: int, p: np.ndarray) -> np.ndarray:
+    """Which levels m * p**r, m in (1, 2, 4), lie in families 2-6 (False at p = 2)."""
+    p8 = p % 8
+    if m == 1:  # families 2, 3 and 4
+        return (p8 == 5) | (p8 == (7 if r % 2 else 3))
+    if m == 2:  # family 5
+        return (p8 == 3) | (p8 == 5)
+    return (p8 % 4 == 3) & bool(r % 2)  # family 6
+
+
+def family_members(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """Bool array over [lo, hi]: constructive enumeration of all six families.
 
     Enumerating members directly (primes and their powers) is far cheaper
-    than classifying every level, and gives an independent route for
-    whole-range verification against genus parity.
+    than classifying every level, and gives a route to parity that never
+    reads a factorization.  `primes` must hold every prime up to hi; only
+    the primes whose first power or whose higher powers can land in the
+    window are read.
     """
-    member = np.zeros(limit + 1, dtype=bool)
-    for n in EXCEPTIONAL_EVEN_LEVELS:
-        if n <= limit:
-            member[n] = True
-    ps = primes_up_to(limit)
-    odd = ps[ps % 2 == 1]
-    for p in odd:
-        p = int(p)
-        m8 = p % 8
-        pr = p
-        r = 1
-        while pr <= limit:
-            if m8 == 5:
-                member[pr] = True
-            elif m8 == 7 and r % 2 == 1:
-                member[pr] = True
-            elif m8 == 3 and r % 2 == 0:
-                member[pr] = True
-            if m8 in (3, 5) and 2 * pr <= limit:
-                member[2 * pr] = True
-            if p % 4 == 3 and r % 2 == 1 and 4 * pr <= limit:
-                member[4 * pr] = True
-            pr *= p
-            r += 1
+    member = np.zeros(hi - lo + 1, dtype=bool)
+    member[[n - lo for n in EXCEPTIONAL_EVEN_LEVELS if lo <= n <= hi]] = True
+    for m in (1, 2, 4):
+        first, top = -(-lo // m), hi // m  # m * p**r in [lo, hi] iff p**r in [first, top]
+        ps = primes[np.searchsorted(primes, first) : np.searchsorted(primes, top, side="right")]
+        member[m * ps[_in_family(m, 1, ps)] - lo] = True
+        ps = primes[: np.searchsorted(primes, isqrt(top), side="right")]
+        pr, r = ps * ps, 2
+        while ps.size:
+            member[m * pr[(pr >= first) & _in_family(m, r, ps)] - lo] = True
+            more = pr <= top // ps
+            ps, pr, r = ps[more], pr[more] * ps[more], r + 1
     return member
 
 
@@ -182,20 +182,21 @@ def verify_parity_classification(limit: int, threads: int = 1) -> list[int]:
 
     Expected empty.
     """
-    member = family_membership_bitmap(limit)
-    return scan(1, limit, lambda b: b.where((b.genus % 2 == 0) != member[b.lo : b.hi + 1]),
+    if limit < 1:
+        raise ValueError(f"need limit >= 1, got {limit}")
+    primes = primes_up_to(limit)
+    return scan(1, limit,
+                lambda b: b.where((b.genus % 2 == 0) != family_members(b.lo, b.hi, primes)),
                 threads=threads)[0]
 
 
-def distinct_odd_prime_counts(limit: int) -> np.ndarray:
-    """Number of distinct odd prime divisors for every n <= limit."""
-    counts = np.zeros(limit + 1, dtype=np.int8)
-    for p in primes_up_to(limit):
-        p = int(p)
-        if p == 2:
-            continue
-        counts[p::p] += 1
-    return counts
+def odd_prime_counts(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """Number of distinct odd prime divisors of every level in [lo, hi].
+
+    `primes` must hold every prime up to hi.
+    """
+    odd = primes[np.searchsorted(primes, 3) : np.searchsorted(primes, hi, side="right")]
+    return np.bincount(multiples(lo, hi, odd)[0], minlength=hi - lo + 1)
 
 
 def power_of_two_congruence_check(limit: int, threads: int = 1) -> list[int]:
@@ -204,10 +205,12 @@ def power_of_two_congruence_check(limit: int, threads: int = 1) -> list[int]:
     Only levels with s > 2 distinct odd prime divisors are in scope.
     Expected empty.
     """
-    s_counts = distinct_odd_prime_counts(limit)
+    if limit < 1:
+        raise ValueError(f"need limit >= 1, got {limit}")
+    primes = primes_up_to(limit)
 
     def violations(blk):
-        s = s_counts[blk.lo : blk.hi + 1].astype(np.int64)
+        s = odd_prime_counts(blk.lo, blk.hi, primes)
         modulus_mask = (np.int64(1) << np.maximum(s - 2, 0)) - 1
         return blk.where((s > 2) & (((blk.genus - 1) & modulus_mask) != 0))
 

@@ -9,7 +9,7 @@ from math import log, pi
 
 import numpy as np
 
-from x0genus import bounds, stats, values
+from x0genus import arith, bounds, stats, values
 from oracles import (
     GROWTH_CONSTANT_DIGITS,
     mu_divisor_sum,
@@ -111,7 +111,8 @@ def test_c06_dirichlet_identity():
 
 def test_c07_power_of_two_congruence_at_1e6():
     bad = values.power_of_two_congruence_check(10**6, threads=THREADS)
-    in_scope = int(np.count_nonzero(values.distinct_odd_prime_counts(10**6) > 2))
+    counts = values.odd_prime_counts(1, 10**6, arith.primes_up_to(10**6))
+    in_scope = int(np.count_nonzero(counts > 2))
     _gate(
         7,
         bad == [] and in_scope > 0,

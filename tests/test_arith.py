@@ -13,6 +13,7 @@ from x0genus.arith import (
     Factorization,
     euler_phi,
     factorize,
+    multiples,
     primes_in_progression,
     primes_up_to,
 )
@@ -147,6 +148,47 @@ def test_primes_up_to_small():
     assert primes_up_to(1).tolist() == []
     assert primes_up_to(2).tolist() == [2]
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_primes_up_to_is_read_only():
+    ps = primes_up_to(1000)
+    with pytest.raises(ValueError):
+        ps[5] = 15
+    with pytest.raises(ValueError):
+        ps[:] = ps[::-1].copy()
+    assert not primes_up_to(1).flags.writeable
+    # the cached array is unchanged for the next caller
+    again = primes_up_to(1000)
+    assert again[:6].tolist() == [2, 3, 5, 7, 11, 13]
+    assert again.tolist() == [n for n in range(2, 1001) if factorize(n).factors == ((n, 1),)]
+
+
+def _multiples_brute(lo, hi, steps):
+    idx, owner = [], []
+    for i, s in enumerate(steps):
+        for n in range(lo, hi + 1):
+            if n % s == 0:
+                idx.append(n - lo)
+                owner.append(i)
+    return idx, owner, [i in owner for i in range(len(steps))]
+
+
+def test_multiples_matches_brute_force():
+    cases = [
+        (1, 1, [1, 2, 3]),  # lo = 1, a one-level window
+        (1, 40, [2, 3, 7, 41, 100]),  # lo = 1, steps wider than the window
+        (10, 19, [10, 20, 5, 7]),  # a step equal to the width
+        (11, 20, [10, 9, 4]),
+        (101, 103, [7, 50, 1000]),  # no multiple at all
+    ]
+    rng = random.Random(20)
+    for _ in range(100):
+        lo = rng.randint(1, 10**6)
+        hi = lo + rng.randint(0, 200)
+        cases.append((lo, hi, rng.sample(range(1, 500), 12)))
+    for lo, hi, steps in cases:
+        idx, owner, hit = multiples(lo, hi, np.array(steps, dtype=np.int64))
+        assert (idx.tolist(), owner.tolist(), hit.tolist()) == _multiples_brute(lo, hi, steps)
 
 
 def test_prime_count_against_trial_division():

@@ -1,5 +1,6 @@
 """Averages, the Dirichlet identity, residue densities, and growth constants."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import inf, isfinite, log, nextafter, pi
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.special
 
+from x0genus import stats
 from x0genus.arith import primes_in_progression, primes_up_to
-from x0genus.genus import genus
+from x0genus.genus import SEGMENT, genus
 from x0genus.stats import (
     AVG_RATIO_TARGET,
     AVG_SUM_TARGET,
@@ -34,7 +36,7 @@ from x0genus.stats import (
     zeta_identity_check,
     zeta_with_error,
 )
-from x0genus.values import family_membership_bitmap
+from x0genus.values import family_members
 from oracles import GROWTH_CONSTANT_DIGITS, growth_constants_mp
 
 
@@ -315,7 +317,7 @@ def test_even_genus_frequency_matches_family_count():
     freq = even_genus_frequency(10**6, threads=4)
     assert freq == pytest.approx(0.071388, abs=1e-12)
     # independent route: count members of the six families directly
-    members = int(np.count_nonzero(family_membership_bitmap(10**6)[1:]))
+    members = int(np.count_nonzero(family_members(1, 10**6, primes_up_to(10**6))))
     assert freq == members / 10**6
 
 
@@ -332,6 +334,27 @@ def test_restricted_congruence_clean():
     # the scans above are not vacuous
     assert primes_in_progression(36, 35, 10**5).size
     assert primes_in_progression(60, 59, 3 * 10**4).size
+
+
+def test_restricted_congruence_selects_the_restricted_levels(monkeypatch):
+    # with every genus shifted by one, each restricted level breaks the
+    # congruence mod 3, so the check returns exactly those levels
+    real_scan = stats.scan
+
+    def shifted_scan(lo, hi, *reducers, threads=1):
+        shifted = [lambda b, r=r: r(replace(b, genus=b.genus + 1)) for r in reducers]
+        return real_scan(lo, hi, *shifted, threads=threads)
+
+    monkeypatch.setattr(stats, "scan", shifted_scan)
+    bound = SEGMENT + 5000
+    qs = primes_in_progression(36, 35, bound).tolist()
+    expected = sorted({n for q in qs for n in range(q, bound + 1, q)})
+    assert restricted_congruence_check(3, bound) == expected
+
+@pytest.mark.parametrize("bound", [0, -5])
+def test_restricted_congruence_refuses_bound_below_one(bound):
+    with pytest.raises(ValueError, match="bound >= 1"):
+        restricted_congruence_check(3, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,24 @@
 """Attained genus values, the missed set, and the parity classification."""
 
+import random
+
 import numpy as np
 import pytest
 
-from x0genus.arith import factorize
+from x0genus.arith import factorize, primes_up_to
 from x0genus.values import (
     EXCEPTIONAL_EVEN_LEVELS,
     attained_genera,
     even_attained_count,
     even_genus_family,
-    family_membership_bitmap,
-    distinct_odd_prime_counts,
+    family_members,
     missed_values,
+    odd_prime_counts,
     power_of_two_congruence_check,
     scan_limit_for,
     verify_parity_classification,
 )
-from x0genus.genus import genus
+from x0genus.genus import SEGMENT, genus
 from oracles import build_spf_table
 
 
@@ -132,9 +134,9 @@ def test_family_predicts_parity_on_examples():
 
 def test_bitmap_matches_per_level_predicate():
     limit = 30000
-    member = family_membership_bitmap(limit)
+    member = family_members(1, limit, primes_up_to(limit))
     for n in range(1, limit + 1):
-        assert member[n] == (even_genus_family(n).family_id is not None)
+        assert member[n - 1] == (even_genus_family(n).family_id is not None)
 
 
 def test_exceptional_levels_are_the_even_prefix():
@@ -148,10 +150,43 @@ def test_parity_classification_clean_at_1e5():
 
 
 def test_distinct_odd_prime_counts():
-    counts = distinct_odd_prime_counts(20000)
+    counts = odd_prime_counts(1, 20000, primes_up_to(20000))
     for n in range(1, 20001):
         expected = sum(1 for p, _ in factorize(n).factors if p != 2)
-        assert counts[n] == expected
+        assert counts[n - 1] == expected
+
+
+def _windows():
+    """Windows that do not start at 1: hand-picked edges, then seeded ones."""
+    rng = random.Random(8)
+    # 125 = 5**3, 250 = 2 * 5**3 and 1372 = 4 * 7**3 are members at a window's end
+    fixed = [(2, 2), (3, 16), (5, 5), (17, 40), (100, 125), (200, 250), (1000, 1372),
+             (SEGMENT - 700, SEGMENT + 700), (2 * SEGMENT - 1, 2 * SEGMENT), (999000, 10**6)]
+    seeded = []
+    for _ in range(12):
+        lo = rng.randint(2, 10**6)
+        seeded.append((lo, lo + rng.randint(0, 2000)))
+    return fixed + seeded
+
+
+def test_family_members_on_windows():
+    primes = primes_up_to(10**6 + 2000)  # primes past hi are ignored
+    for lo, hi in _windows():
+        member = family_members(lo, hi, primes)
+        assert member.size == hi - lo + 1
+        for n in range(lo, hi + 1):
+            assert member[n - lo] == (even_genus_family(n).family_id is not None), n
+        assert family_members(lo, hi, primes_up_to(hi)).tolist() == member.tolist()
+
+
+def test_odd_prime_counts_on_windows():
+    primes = primes_up_to(10**6 + 2000)
+    for lo, hi in _windows():
+        counts = odd_prime_counts(lo, hi, primes)
+        assert counts.size == hi - lo + 1
+        for n in range(lo, hi + 1):
+            assert counts[n - lo] == sum(1 for p, _ in factorize(n).factors if p != 2), n
+        assert odd_prime_counts(lo, hi, primes_up_to(hi)).tolist() == counts.tolist()
 
 
 def test_power_of_two_congruence_hand_cases():
@@ -164,6 +199,13 @@ def test_power_of_two_congruence_hand_cases():
 
 def test_power_of_two_congruence_clean_at_1e5():
     assert power_of_two_congruence_check(10**5) == []
+
+
+@pytest.mark.parametrize("check", [verify_parity_classification, power_of_two_congruence_check])
+@pytest.mark.parametrize("limit", [0, -5])
+def test_checks_refuse_limit_below_one(check, limit):
+    with pytest.raises(ValueError, match="limit >= 1"):
+        check(limit)
 
 
 def test_even_attained_counts():
