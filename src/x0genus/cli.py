@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, replace
+from itertools import chain
 from typing import Any, Callable, Iterable, Optional, TextIO, get_args, get_origin, get_type_hints
 
 from . import bounds, stats, values
@@ -215,15 +216,16 @@ def _cmd_density(args: argparse.Namespace, out: TextIO) -> None:
 
 def _cmd_histogram(args: argparse.Namespace, out: TextIO) -> None:
     h = stats.residue_histogram(args.ell, args.max, threads=args.threads)
+    flagged = set(h.flagged)
     counts = list(enumerate(h.counts))
-    rows = ((r, c, _fmt(r in h.flagged, args.precision)) for r, c in counts)
-    plain = [f"{r} {c} {'flagged' if r in h.flagged else '-'}" for r, c in counts]
-    plain.append(f"enrichment_holds={_fmt(h.enrichment_holds, args.precision)}")
+    rows = ((r, c, _fmt(r in flagged, args.precision)) for r, c in counts)
+    plain = chain((f"{r} {c} {'flagged' if r in flagged else '-'}" for r, c in counts),
+                  [f"enrichment_holds={_fmt(h.enrichment_holds, args.precision)}"])
     _emit(args, out, asdict(h), ("residue", "count", "flagged"), rows, plain)
 
 
 def _cmd_constants(args: argparse.Namespace, out: TextIO) -> None:
-    _emit(args, out, asdict(stats.asymptotic_constants(args.tol)))
+    _emit(args, out, asdict(stats.asymptotic_constants()))
 
 
 def _cmd_dirichlet(args: argparse.Namespace, out: TextIO) -> None:
@@ -288,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_histogram)
 
     sp = sub.add_parser("constants", parents=[common], help="growth constants a0, b, c")
-    sp.add_argument("--tol", type=float, default=1e-10, help="in (0, 1e-6]")
     sp.set_defaults(func=_cmd_constants)
 
     sp = sub.add_parser("dirichlet", parents=[common], help="partial F(s) against the zeta product")

@@ -17,9 +17,12 @@ ConsistencyError rather than rounding.
 
 For batch ranges there is a segmented, numpy-vectorized sieve
 (breakdown_block / iter_blocks) that computes all five quantities for every
-level in a window.  Segments are fixed-size and independent, so results are
-identical no matter how work is sharded across threads.  scan feeds each
-block of one such pass to any number of reducers.
+level in a window, up to LEVEL_MAX.  One routine, _lift, holds the rule for
+how a prime power p**j changes mu, nu2, nu3 and nu_inf; the strided
+small-prime pass, the batched large-prime passes and the cofactor pass
+only list the levels it applies to.  Segments are fixed-size and
+independent, so results are identical no matter how work is sharded across
+threads.  scan feeds each block of one such pass to any number of reducers.
 """
 
 from __future__ import annotations
@@ -39,10 +42,14 @@ from .arith import Factorization, factorize, multiples, primes_up_to
 # aggregate bit-identical regardless of thread count.
 SEGMENT = 1 << 17
 
-# breakdown_block applies primes up to this one with strided slices, one
+# breakdown_block applies primes up to this one with strided index runs, one
 # prime at a time; a larger prime hits a segment at most SEGMENT / 2048 = 64
 # times, and all of those primes are sieved together (see multiples).
 SMALL_PRIME_LIMIT = SEGMENT >> 6
+
+# The highest level the block sieve accepts.  Its primes up to 1e8 still
+# sieve in seconds, and int64 mu stays exact (it wraps near N = 2.09e18).
+LEVEL_MAX = 10**16
 
 
 class ConsistencyError(RuntimeError):
@@ -201,36 +208,56 @@ def _require_primes_up_to(primes: np.ndarray, root: int) -> None:
             raise ValueError(f"primes stop at {last}, short of the prime {c} <= isqrt(hi)")
 
 
+def _lift(mu, nu2, nu3, nu_inf, rem, idx, p, j: int) -> None:
+    """Apply the prime power p**j at the window indices idx, in place.
+
+    p is one prime or one per index, and p**(j-1) is already applied there.
+    mu gains p + 1 at j = 1 and p at every higher j.  At j = 1 nu2 gains
+    3 - p % 4 and nu3 (p + 1) % 3: 2 for p = 1 mod 4 (mod 3), 0 for p = 3
+    mod 4 (2 mod 3), 1 for p = 2 (p = 3).  At j = 2 nu2 gains p % 2 and nu3
+    sign(p % 3), 0 only for p = 2 and p = 3.  nu_inf's theta(p, j-1)
+    becomes theta(p, j), and rem loses p.  ufunc.at is unbuffered, so a repeated
+    index, a level that several primes divide, gets every update; the
+    factors are ints because bool ones send ufunc.at down a slow path.
+    """
+    if j == 1:
+        np.multiply.at(mu, idx, p + 1)
+        np.multiply.at(nu2, idx, 3 - p % 4)
+        np.multiply.at(nu3, idx, (p + 1) % 3)
+    else:
+        np.multiply.at(mu, idx, p)
+        if j == 2:
+            np.multiply.at(nu2, idx, p % 2)
+            np.multiply.at(nu3, idx, np.sign(p % 3))
+        np.floor_divide.at(nu_inf, idx, theta(p, j - 1))
+    np.multiply.at(nu_inf, idx, theta(p, j))
+    np.floor_divide.at(rem, idx, p)
+
+
 def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> GenusBlock:
     """Compute all five quantities for every level in [lo, hi] at once.
 
-    A segmented multiplicative sieve: each prime p <= sqrt(hi) strips its
-    powers out of every level in the window while accumulating the closed
-    forms; whatever remains of a level afterwards is 1 or a single large
-    prime, absorbed in one vectorized pass at the end.  `primes`, when
-    given, must hold every prime up to isqrt(hi) (more are ignored); one
-    that stops short raises ValueError.
+    A segmented multiplicative sieve: _lift applies every power p**j of
+    every prime p <= sqrt(hi) at the levels it divides, and what remains of
+    a level is then 1 or one prime above sqrt(hi), applied last.  Small
+    primes, p <= SMALL_PRIME_LIMIT, hit many levels each and go in one
+    power at a time as strided index runs.  Large primes hit a window a few
+    times or not at all, so multiples lists the hits of all of them at
+    once, one pass per exponent j over the primes whose p**(j-1) divides
+    some level.  `primes`, when given, must hold every prime up to
+    isqrt(hi) (more are ignored); one that stops short raises ValueError,
+    and so does hi above LEVEL_MAX.
 
-    The primes fall into two classes.  Small primes, p <= SMALL_PRIME_LIMIT,
-    hit many levels each and are applied one at a time with strided slices.
-    Large primes hit a window a few times or not at all, so a loop over them
-    would cost one Python iteration per prime for almost no work; instead
-    every multiple of every large prime in the window is listed at once
-    (multiples), and the factors go in with unbuffered ufunc.at calls, which
-    stay correct when several large primes divide one level.  Higher powers
-    take one such pass per exponent j, over the primes with p**j <= hi
-    whose power p**(j-1) divides some level of the window.
-
-    Every update is exact integer arithmetic: mu loses p before gaining
-    p + 1, nu_inf loses theta(p, j-1) before gaining theta(p, j), and rem
-    loses p, each division applied to a value that the divisor divides.  So
-    the order in which primes, or the hits of one pass, are applied cannot
+    Every update is exact integer arithmetic, each division exact, so the
+    order in which primes, or the hits of one pass, are applied cannot
     change a value, and no intermediate exceeds the level's final value.
     """
     if lo < 1:
         raise ValueError(f"need lo >= 1, got {lo}")
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
+    if hi > LEVEL_MAX:
+        raise ValueError(f"levels stop at LEVEL_MAX = {LEVEL_MAX}, got hi = {hi}")
     if primes is None:
         primes = primes_up_to(isqrt(hi))
     else:
@@ -239,52 +266,21 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     n_small = np.searchsorted(primes, SMALL_PRIME_LIMIT, side="right")
     size = hi - lo + 1
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    mu_a = rem.copy()
-    nu2_a = np.ones(size, dtype=np.int64)
-    nu3_a = np.ones(size, dtype=np.int64)
-    nui_a = np.ones(size, dtype=np.int64)
+    mu_a, nu2_a, nu3_a, nui_a = np.ones((4, size), dtype=np.int64)
 
-    # one strided pass per prime power p**j that divides some level: j = 1
-    # sets mu, nu2 and nu3, j = 2 zeroes nu2 for p = 2 and nu3 for p = 3, and
-    # every pass lifts theta(p, j-1) to theta(p, j) and divides rem by p
+    # small primes one at a time, one strided run per power p**j that hits
     for p in primes[:n_small].tolist():
-        pj, j, th_prev = p, 1, 1
+        pj, j = p, 1
         while pj <= hi and (first := -lo % pj) < size:
-            sl = slice(first, size, pj)
-            if j == 1:
-                mu_a[sl] = mu_a[sl] // p * (p + 1)
-                if p != 2:
-                    nu2_a[sl] *= 2 if p % 4 == 1 else 0
-                if p != 3:
-                    nu3_a[sl] *= 2 if p % 3 == 1 else 0
-            elif j == 2 and p == 2:
-                nu2_a[sl] = 0
-            elif j == 2 and p == 3:
-                nu3_a[sl] = 0
-            th = theta(p, j)
-            nui_a[sl] = nui_a[sl] // th_prev * th
-            rem[sl] //= p
-            pj, j, th_prev = pj * p, j + 1, th
+            _lift(mu_a, nu2_a, nu3_a, nui_a, rem, np.arange(first, size, pj), p, j)
+            pj, j = pj * p, j + 1
 
-    # large primes, all at once: pass j lifts theta(p, j-1) to theta(p, j)
-    # and divides rem by p at every level divisible by p**j, as above
+    # large primes all at once, one pass per exponent j
     large = primes[n_small:]
-    pj = large
-    j = 1
+    pj, j = large, 1
     while large.size:
         idx, owner, hit = multiples(lo, hi, pj)
-        p = large[owner]
-        if j == 1:
-            # p is neither 2 nor 3, so nu2 and nu3 gain a factor 2 or 0
-            np.floor_divide.at(mu_a, idx, p)
-            np.multiply.at(mu_a, idx, p + 1)
-            np.multiply.at(nu2_a, idx, np.where(p % 4 == 1, 2, 0))
-            np.multiply.at(nu3_a, idx, np.where(p % 3 == 1, 2, 0))
-            np.multiply.at(nui_a, idx, 2)
-        else:
-            np.floor_divide.at(nui_a, idx, theta(p, j - 1))
-            np.multiply.at(nui_a, idx, theta(p, j))
-        np.floor_divide.at(rem, idx, p)
+        _lift(mu_a, nu2_a, nu3_a, nui_a, rem, idx, large[owner], j)
         # p**(j+1) can divide a level only if p**j did
         large, pj = large[hit], pj[hit]
         keep = pj <= hi // large
@@ -292,13 +288,8 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
         j += 1
 
     # leftover cofactor is 1 or a prime > sqrt(hi), always to the first power
-    big = rem > 1
-    if np.any(big):
-        r = rem[big]
-        mu_a[big] = mu_a[big] // r * (r + 1)
-        nui_a[big] *= 2
-        nu2_a[big] *= np.where(r % 4 == 1, 2, np.where(r % 4 == 3, 0, 1))
-        nu3_a[big] *= np.where(r % 3 == 1, 2, np.where(r % 3 == 2, 0, 1))
+    idx = np.nonzero(rem > 1)[0]
+    _lift(mu_a, nu2_a, nu3_a, nui_a, rem, idx, rem[idx], 1)
 
     twelve_g = mu_a - 3 * nu2_a - 4 * nu3_a - 6 * nui_a + 12
     if np.any(twelve_g % 12):
@@ -317,12 +308,15 @@ def iter_blocks(lo: int, hi: int, threads: int = 1) -> Iterator[GenusBlock]:
     Segmentation is fixed by SEGMENT, never by `threads`; worker count
     only changes how many segments are in flight, so every consumer sees
     the same blocks in the same order.  `threads` must be at least 1; the
-    pool gets no more workers than there are CPUs or segments.
+    pool gets no more workers than there are CPUs or segments.  hi above
+    LEVEL_MAX raises ValueError before any prime is sieved.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if hi < lo:
         return
+    if hi > LEVEL_MAX:
+        raise ValueError(f"levels stop at LEVEL_MAX = {LEVEL_MAX}, got hi = {hi}")
     primes = primes_up_to(isqrt(hi))
     starts = range(lo, hi + 1, SEGMENT)
     workers = min(threads, os.cpu_count() or 1, len(starts))

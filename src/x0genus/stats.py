@@ -287,8 +287,14 @@ def _genus_residue_counts(m: int, bound: int, threads: int) -> np.ndarray:
     """Number of levels N <= bound with g0(N) = r (mod m), for each r < m."""
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
-    parts = scan(1, bound, lambda b: [np.bincount(b.genus % m, minlength=m)], threads=threads)[0]
-    return np.sum(parts, axis=0)
+    counts = np.zeros(m, dtype=np.int64)
+
+    def add(blk):
+        counts[:] += np.bincount(blk.genus % m, minlength=m)
+        return []
+
+    scan(1, bound, add, threads=threads)
+    return counts
 
 
 def residue_density_empirical(ell: int, bound: int, threads: int = 1) -> float:
@@ -353,8 +359,7 @@ def residue_histogram(ell: int, bound: int, threads: int = 1) -> ResidueHistogra
     primitive = two_is_primitive_root(ell)
     enrichment = None
     if not primitive:
-        rest = [int(c) for r, c in enumerate(counts) if r not in flagged]
-        enrichment = min(int(counts[f]) for f in flagged) > max(rest)
+        enrichment = bool(counts[list(flagged)].min() > np.delete(counts, flagged).max())
     return ResidueHistogram(
         ell=ell,
         bound=bound,
@@ -435,23 +440,21 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     return mid
 
 
-def asymptotic_constants(tolerance: float = 1e-10) -> AsymptoticConstants:
-    """Solve both defining equations by bisection.
+def asymptotic_constants() -> AsymptoticConstants:
+    """Solve both defining equations by bisection, to float precision.
 
     1/B + log B - 1 - log 2 is strictly decreasing on (0, 1) with a sign
     change, so the B root is unique.  The A series has positive increasing
     coefficients (n+1)log(n+1) - n log n - 1 < log(n+1), so it is strictly
-    increasing in A; truncation keeps the geometric tail below tolerance/10
-    at the bracket top 0.95.
+    increasing in A; it is cut where its geometric tail at the bracket top
+    0.95 falls below a tenth of the float epsilon.
     """
-    if not 0.0 < tolerance <= 1e-6:
-        raise ValueError(f"tolerance must be in (0, 1e-6], got {tolerance}")
     log2 = log(2.0)
     root_b = _bisect(lambda t: 1.0 / t + log(t) - 1.0 - log2, 1e-12, 1.0 - 1e-12)
 
     hi = 0.95
     n_max = 1
-    while hi**n_max * log(n_max + 2.0) >= tolerance * (1.0 - hi) / 10.0:
+    while hi**n_max * log(n_max + 2.0) >= np.finfo(float).eps * (1.0 - hi) / 10.0:
         n_max += 1
     n = np.arange(1.0, n_max + 1.0)
     coeff = (n + 1.0) * np.log(n + 1.0) - n * np.log(n) - 1.0

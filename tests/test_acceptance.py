@@ -122,7 +122,7 @@ def test_c07_power_of_two_congruence_at_1e6():
 
 
 def test_c08_growth_constants():
-    c = stats.asymptotic_constants(1e-10)
+    c = stats.asymptotic_constants()
     # The a0 target read 0.8168146 until the 50-digit check in test_stats
     # showed a one-digit slip: A = exp(-1/(2 * 0.8168146)) leaves an
     # A-series residual of -2.3e-3.

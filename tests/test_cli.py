@@ -18,7 +18,7 @@ import pytest
 from x0genus.arith import Factorization
 from x0genus.cli import SCHEMAS, main
 from x0genus.genus import SEGMENT, breakdown_from_factorization, genus
-from x0genus.stats import S_MAX
+from x0genus.stats import S_MAX, flagged_residue_classes
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -175,6 +175,15 @@ def test_histogram_csv():
     assert lines[2].endswith(",false")  # class 1 is never flagged
 
 
+def test_histogram_rows_at_a_large_ell():
+    ell = 100003
+    code, out, _ = run(["histogram", "--ell", str(ell), "--max", "10", "--format", "csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r) for r, _, _ in rows] == list(range(ell))
+    assert {int(r) for r, _, f in rows if f == "true"} == set(flagged_residue_classes(ell))
+
+
 def test_constants_json_schema():
     payload = run_json(["constants"])
     jsonschema.validate(payload, SCHEMAS["constants"])
@@ -215,7 +224,6 @@ def test_invalid_input_exits_1():
         ["dirichlet", "--s", "1.0"],
         ["density", "--ell", "2"],
         ["missed", "--max", "100000000"],
-        ["constants", "--tol", "0.5"],
         ["density", "--ell", "7", "--empirical-max", "0"],
         ["density", "--ell", "7", "--empirical-max", "-5"],
         ["dirichlet", "--s", "nan"],
@@ -226,6 +234,7 @@ def test_invalid_input_exits_1():
         ["table", "--max", "-3"],
         ["parity", "--max", "0"],
         ["bounds", "--max", "-1"],
+        ["average", "--max", str(10**16 + 1)],  # above LEVEL_MAX
     ):
         code, out, err = run(argv)
         assert code == 1, argv

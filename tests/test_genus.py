@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from x0genus.arith import Factorization, factorize, primes_up_to
 from x0genus.genus import (
+    LEVEL_MAX,
     SEGMENT,
     SMALL_PRIME_LIMIT,
     GenusBreakdown,
@@ -150,6 +151,30 @@ def test_block_argument_validation():
         blk.breakdown(9)
     assert len(blk) == 11
     assert blk.levels[0] == 10
+
+
+def test_every_window_up_to_40_matches_scalar():
+    # below 9 the cofactor pass meets the primes 2 and 3, and these windows
+    # also hold the squares 4 and 9 that zero nu2 and nu3
+    for hi in range(1, 41):
+        for lo in range(1, hi + 1):
+            blk = breakdown_block(lo, hi)
+            for n in range(lo, hi + 1):
+                assert blk.breakdown(n) == genus(n), (lo, hi, n)
+
+
+def test_levels_above_level_max_refused(monkeypatch):
+    with pytest.raises(ValueError, match="LEVEL_MAX"):
+        breakdown_block(LEVEL_MAX, LEVEL_MAX + 1, primes_up_to(10))
+
+    def no_sieve(limit):
+        raise AssertionError("primes sieved before the level check")
+
+    monkeypatch.setattr(genus_module, "primes_up_to", no_sieve)
+    with pytest.raises(ValueError, match="LEVEL_MAX"):
+        next(iter_blocks(LEVEL_MAX - 10, LEVEL_MAX + 1))
+    with pytest.raises(ValueError, match="LEVEL_MAX"):
+        scan(1, 10 * LEVEL_MAX, lambda blk: [])
 
 
 def test_block_refuses_primes_short_of_sqrt_hi():

@@ -378,7 +378,7 @@ def test_squarefree_regression_and_target():
 
 
 def test_constants_satisfy_defining_equations():
-    c = asymptotic_constants(1e-10)
+    c = asymptotic_constants()
     assert abs(1.0 / c.B + log(c.B) - 1.0 - log(2.0)) < 1e-9
     total = 0.0
     for n in range(1, 121):  # A**120 is ~1e-32, far past any 1e-9 budget
@@ -390,7 +390,7 @@ def test_constants_satisfy_defining_equations():
 
 
 def test_constants_regressions():
-    c = asymptotic_constants(1e-10)
+    c = asymptotic_constants()
     assert c.A == pytest.approx(0.5425985860993182, abs=1e-9)
     assert c.B == pytest.approx(0.3733646177016741, abs=1e-9)
     assert c.a0 == pytest.approx(0.8178146400857208, abs=1e-9)
@@ -401,11 +401,9 @@ def test_constants_regressions():
 def test_constants_against_50_digit_roots():
     mpmath = pytest.importorskip("mpmath")
     ref = growth_constants_mp()
-    # bisection runs to float precision whatever the tolerance
-    for tol in (1e-10, 1e-8, 1e-6):
-        c = asymptotic_constants(tol)
-        for name in ("A", "B", "a0", "b", "c"):
-            assert abs(getattr(c, name) - float(ref[name])) < 1e-10, (tol, name)
+    c = asymptotic_constants()
+    for name in ("A", "B", "a0", "b", "c"):
+        assert abs(getattr(c, name) - float(ref[name])) < 1e-10, name
     # the digits acceptance gate 08 pins are the seven-digit truncations
     with mpmath.workdps(50):
         for name, pinned in GROWTH_CONSTANT_DIGITS.items():
@@ -421,16 +419,3 @@ def test_bisect_needs_a_sign_change():
     # a root at either end is found, not refused
     assert _bisect(lambda t: t, 0.0, 1.0) == 0.0
     assert _bisect(lambda t: 1.0 - t, 0.0, 1.0) == 1.0
-
-
-def test_constants_tolerance_validation():
-    with pytest.raises(ValueError):
-        asymptotic_constants(0.0)
-    with pytest.raises(ValueError):
-        asymptotic_constants(-1e-9)
-    with pytest.raises(ValueError):
-        asymptotic_constants(1e-5)
-    coarse = asymptotic_constants(1e-6)
-    fine = asymptotic_constants(1e-10)
-    assert coarse.A == pytest.approx(fine.A, abs=1e-6)
-    assert coarse.B == pytest.approx(fine.B, abs=1e-6)
