@@ -6,6 +6,10 @@ trial division by the primes below 1000, a Miller-Rabin test of what is
 left and Pollard-Brent rho on composites; whole ranges never are, since the
 segmented block sieve in genus.py strips the primes from every level of a
 window at once, with the primes from primes_up_to.
+
+primes_up_to sieves the odd numbers only, one cache-sized block at a time,
+and writes the primes straight into the result, so its memory is bounded
+by the result: 46 MB for the 5761455 primes up to 1e8.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, log
 
 import numpy as np
 
@@ -55,6 +59,13 @@ _SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, i
 _MR_BASES = _SMALL_PRIMES[:12]
 # rho steps multiplied together between two gcds
 _RHO_BATCH = 128
+
+# odd numbers per block of the prime sieve: 512 KB of flags, which stays in
+# a core's L2 cache
+PRIME_BLOCK = 1 << 19
+# primes_in_progression filters the primes this many at a time, so its
+# temporaries stay small however many primes there are
+PROGRESSION_CHUNK = 1 << 16
 
 
 def factorize(n: int) -> Factorization:
@@ -142,15 +153,45 @@ def _rho(n: int) -> int:
 @lru_cache(maxsize=8)
 def primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, as an int64 array; cached, so read-only."""
-    primes = np.empty(0, dtype=np.int64)
-    if limit >= 2:
-        composite = np.zeros(limit + 1, dtype=bool)
-        composite[:2] = True
-        for p in range(2, isqrt(limit) + 1):
-            if not composite[p]:
-                composite[p * p :: p] = True
-        primes = np.nonzero(~composite)[0].astype(np.int64)
+    primes = _sieve(limit)
     primes.flags.writeable = False
+    return primes
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, by a segmented sieve of the odd numbers.
+
+    Flag i of a block stands for the odd number 2i + 1.  Each block of
+    PRIME_BLOCK flags is struck with one strided slice per odd prime
+    p <= isqrt(limit), from p*p on; those primes come from this sieve one
+    level down.  The primes are written into an array of the length
+    1.25506 x / ln x, which exceeds pi(x) for every x > 1 (Rosser and
+    Schoenfeld 1962), and cut to length in place.
+    """
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    odd = _sieve(isqrt(limit))[1:]
+    steps = odd.tolist()
+    first = odd * odd // 2  # flag of p*p
+    phase = odd // 2  # flag of p: p divides 2i + 1 exactly when i = phase mod p
+    primes = np.empty(int(1.25506 * limit / log(limit)) + 1, dtype=np.int64)  # 1 for rounding
+    primes[0] = 2
+    count = 1
+    flags = (limit + 1) // 2  # for 1, 3, 5, ... up to limit
+    block = np.empty(PRIME_BLOCK, dtype=bool)
+    for lo in range(0, flags, PRIME_BLOCK):
+        window = block[: min(PRIME_BLOCK, flags - lo)]
+        window[:] = True
+        k = int(np.searchsorted(first, lo + window.size))  # primes whose square is below the end
+        starts = np.maximum(first[:k], lo + (phase[:k] - lo) % odd[:k]) - lo
+        for p, start in zip(steps[:k], starts.tolist()):
+            window[start::p] = False
+        if lo == 0:
+            window[0] = False  # 1 is not prime
+        found = np.flatnonzero(window)
+        primes[count : count + found.size] = 2 * (found + lo) + 1
+        count += found.size
+    primes.resize(count, refcheck=False)
     return primes
 
 
@@ -159,7 +200,9 @@ def primes_in_progression(modulus: int, residue: int, limit: int) -> np.ndarray:
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     ps = primes_up_to(limit)
-    return ps[ps % modulus == residue % modulus]
+    residue %= modulus
+    chunks = (ps[i : i + PROGRESSION_CHUNK] for i in range(0, ps.size, PROGRESSION_CHUNK))
+    return np.concatenate([ps[:0], *(c[c % modulus == residue] for c in chunks)])
 
 
 def multiples(lo: int, hi: int, steps: np.ndarray):

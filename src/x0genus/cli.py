@@ -22,9 +22,12 @@ from itertools import chain
 from typing import Any, Callable, Iterable, Optional, TextIO, get_args, get_origin, get_type_hints
 
 from . import bounds, stats, values
-from .genus import ConsistencyError, GenusBreakdown, genus as genus_breakdown, iter_blocks, scan
+from .genus import LEVEL_MAX, ConsistencyError, GenusBreakdown, genus as genus_breakdown, iter_blocks, scan
 
 TABLE_COLUMNS = ("n", "mu", "nu2", "nu3", "nu_inf", "genus")
+
+# subcommands whose --max is a level; the others take a genus value
+_LEVEL_RANGE_COMMANDS = ("table", "parity", "bounds", "average", "histogram")
 
 _JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
@@ -260,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_genus)
 
     sp = sub.add_parser("table", parents=[common], help="breakdowns for all levels up to --max")
-    sp.add_argument("--max", type=int, required=True, help="largest level, >= 1")
+    sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
     sp.set_defaults(func=_cmd_table)
 
     sp = sub.add_parser("missed", parents=[common], help="positive integers <= --max never attained")
@@ -268,15 +271,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_missed)
 
     sp = sub.add_parser("parity", parents=[common], help="verify the six-family parity classification")
-    sp.add_argument("--max", type=int, required=True, help="largest level, >= 1")
+    sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
     sp.set_defaults(func=_cmd_parity)
 
     sp = sub.add_parser("bounds", parents=[common], help="verify lower/upper bounds and equality cases")
-    sp.add_argument("--max", type=int, required=True, help="largest level, >= 1")
+    sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("average", parents=[common], help="partial averages of the genus")
-    sp.add_argument("--max", type=int, required=True, help="largest level, >= 1")
+    sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
     sp.set_defaults(func=_cmd_average)
 
     sp = sub.add_parser("density", parents=[common], help="density of g0(N) = 1 (mod ell)")
@@ -285,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_density)
 
     sp = sub.add_parser("histogram", parents=[common], help="histogram of g0(N) mod ell")
-    sp.add_argument("--ell", type=int, required=True, help="odd prime")
-    sp.add_argument("--max", type=int, required=True, help="largest level, >= 1")
+    sp.add_argument("--ell", type=int, required=True, help=f"odd prime <= {stats.HISTOGRAM_ELL_MAX}")
+    sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
     sp.set_defaults(func=_cmd_histogram)
 
     sp = sub.add_parser("constants", parents=[common], help="growth constants a0, b, c")
@@ -308,6 +311,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             value = getattr(args, flag, 1)
             if value < 1:
                 raise ValueError(f"--{flag} must be >= 1, got {value}")
+        # refused before the output is opened: table writes its header before it sieves
+        if args.command in _LEVEL_RANGE_COMMANDS and args.max > LEVEL_MAX:
+            raise ValueError(f"levels stop at LEVEL_MAX = {LEVEL_MAX}, got --max {args.max}")
         if args.output is None:
             func(args, sys.stdout)
             sys.stdout.flush()

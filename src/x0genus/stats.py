@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import factorize, multiples, primes_in_progression, primes_up_to
-from .genus import ConsistencyError, scan
+from .genus import LEVEL_MAX, ConsistencyError, scan
 
 AVG_RATIO_TARGET = 5.0 / (4.0 * pi**2)  # limit of (1/B) sum g0(N)/N
 AVG_SUM_TARGET = 5.0 / (8.0 * pi**2)  # limit of (1/B^2) sum g0(N)
@@ -54,6 +54,10 @@ DENSITY_BOUND_TABLE = {
 
 DEFAULT_PRIME_LIMIT = 10**7
 DEFAULT_DIRICHLET_TERMS = 10**6
+
+# residue_histogram keeps ell counts per block and walks the powers of 2 mod
+# ell, so it refuses a larger ell; 2**20 counts take 8 MB
+HISTOGRAM_ELL_MAX = 2**20
 
 # mu(N)/N = prod_{p | N} (1 + 1/p) first reaches 4 when N has the eleven
 # primes up to 31, so mu/N < 4 for every N below their product
@@ -298,9 +302,18 @@ def _genus_residue_counts(m: int, bound: int, threads: int) -> np.ndarray:
 
 
 def residue_density_empirical(ell: int, bound: int, threads: int = 1) -> float:
-    """Frequency of g0(N) = 1 (mod ell) over all levels N <= bound."""
+    """Frequency of g0(N) = 1 (mod ell) over all levels N <= bound.
+
+    Only class 1 is counted, so no array as long as ell is made.
+    """
     _require_odd_prime(ell)
-    return int(_genus_residue_counts(ell, bound, threads)[1]) / bound
+    if bound < 1:
+        raise ValueError(f"need bound >= 1, got {bound}")
+    # g0(N) < N <= LEVEL_MAX, so for a larger ell the int64 reduction mod
+    # LEVEL_MAX leaves every genus as reduction mod ell would
+    m = min(ell, LEVEL_MAX)
+    hits = scan(1, bound, lambda b: [int(np.count_nonzero(b.genus % m == 1))], threads=threads)
+    return sum(hits[0]) / bound
 
 
 def even_genus_frequency(bound: int, threads: int = 1) -> float:
@@ -352,8 +365,10 @@ class ResidueHistogram:
 
 
 def residue_histogram(ell: int, bound: int, threads: int = 1) -> ResidueHistogram:
-    """Histogram of g0(N) mod ell over all levels N <= bound."""
+    """Histogram of g0(N) mod ell over all levels N <= bound, for ell <= HISTOGRAM_ELL_MAX."""
     _require_odd_prime(ell)
+    if ell > HISTOGRAM_ELL_MAX:
+        raise ValueError(f"histograms take ell <= {HISTOGRAM_ELL_MAX}, got {ell}")
     counts = _genus_residue_counts(ell, bound, threads)
     flagged = flagged_residue_classes(ell)
     primitive = two_is_primitive_root(ell)

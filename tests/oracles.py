@@ -7,7 +7,8 @@ multiplicative machinery they are meant to check.  The growth constants are
 solved again from their defining equations at 50 digits with mpmath.  The
 block sieve's earlier form, one strided pass per prime, is kept here as the
 reference for the current one; so is the trial division that factorize
-used before Miller-Rabin and Pollard-Brent rho.
+used before Miller-Rabin and Pollard-Brent rho, and the whole-range bool
+sieve that primes_up_to used before it sieved odd numbers in blocks.
 
 Also here: the exhaustive residue scans and the divisor-sum cusp count for
 single levels, a smallest-prime-factor table with the scalar closed forms
@@ -338,6 +339,19 @@ def build_spf_table(limit: int) -> SpfTable:
     spf[untouched] = np.nonzero(untouched)[0]
     spf[1] = 1
     return SpfTable(limit, spf)
+
+
+def primes_up_to_dense(limit: int) -> np.ndarray:
+    """All primes <= limit as an int64 array, from one bool flag per integer."""
+    primes = np.empty(0, dtype=np.int64)
+    if limit >= 2:
+        composite = np.zeros(limit + 1, dtype=bool)
+        composite[:2] = True
+        for p in range(2, isqrt(limit) + 1):
+            if not composite[p]:
+                composite[p * p :: p] = True
+        primes = np.nonzero(~composite)[0].astype(np.int64)
+    return primes
 
 
 def phi_table(limit: int) -> np.ndarray:

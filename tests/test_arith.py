@@ -1,6 +1,9 @@
 """Factorization, sieves, and totients against dumb-but-sure oracles."""
 
+import json
 import random
+import subprocess
+import sys
 from math import gcd, isqrt
 
 import numpy as np
@@ -8,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from x0genus import arith
 from x0genus.arith import (
     FACTOR_LIMIT,
+    PRIME_BLOCK,
+    PROGRESSION_CHUNK,
     Factorization,
     euler_phi,
     factorize,
@@ -17,7 +23,14 @@ from x0genus.arith import (
     primes_in_progression,
     primes_up_to,
 )
-from oracles import build_spf_table, factor_dumb, factorize_trial, phi_table
+from oracles import (
+    build_spf_table,
+    factor_dumb,
+    factorize_trial,
+    phi_table,
+    primes_up_to_dense,
+)
+from test_cli import checkout_env
 
 
 def test_factorize_small_known():
@@ -197,6 +210,91 @@ def test_prime_count_against_trial_division():
 
     expected = sum(1 for n in range(2, 10001) if is_prime(n))
     assert len(primes_up_to(10000)) == expected == 1229
+
+
+def test_primes_up_to_matches_dense_sieve():
+    for limit in range(3001):
+        ps = primes_up_to(limit)
+        assert ps.dtype == np.int64 and not ps.flags.writeable
+        assert np.array_equal(ps, primes_up_to_dense(limit)), limit
+
+
+def test_primes_up_to_at_block_edges():
+    # block k ends at the odd number 2 * k * PRIME_BLOCK - 1
+    edges = [2 * k * PRIME_BLOCK for k in (1, 2, 3)]
+    limits = [e + d for e in edges for d in range(-3, 4)]
+    # the sieving primes next to isqrt(edge) start striking around the edge
+    dense = primes_up_to_dense((isqrt(edges[-1]) + 100) ** 2)
+    for e in edges:
+        i = int(np.searchsorted(dense, isqrt(e)))
+        limits += [int(p) ** 2 + d for p in dense[i - 2 : i + 2] for d in (-1, 0, 1)]
+    for limit in limits:
+        expected = dense[: np.searchsorted(dense, limit, side="right")]
+        assert np.array_equal(primes_up_to.__wrapped__(limit), expected), limit
+
+
+def test_primes_up_to_with_small_blocks(monkeypatch):
+    # 8-flag blocks put a block edge within 16 of every square of a prime
+    monkeypatch.setattr(arith, "PRIME_BLOCK", 8)
+    for limit in [*range(600), 10**5]:
+        assert np.array_equal(primes_up_to.__wrapped__(limit), primes_up_to_dense(limit)), limit
+
+
+def test_prime_counts_at_powers_of_ten():
+    ps = primes_up_to(10**8)
+    counts = [int(np.searchsorted(ps, 10**k, side="right")) for k in range(1, 9)]
+    assert counts == [4, 25, 168, 1229, 9592, 78498, 664579, 5761455]
+    assert ps.size == 5761455
+
+
+# residue_density_exact(ell, 10**8).exact_value for the eight table primes,
+# as the whole-range bool sieve computed them
+DENSITIES_AT_1E8 = [
+    "0.2372885617274646",
+    "0.012709862855867615",
+    "0.009458825044671215",
+    "0.0015300196742611405",
+    "0.0006485039949906124",
+    "0.0005577043720963459",
+    "0.0010220584182741854",
+    "0.0001717752266310324",
+]
+
+_SIEVE_MEMORY = """
+import json, resource
+from x0genus.arith import primes_up_to
+from x0genus.stats import DENSITY_BOUND_TABLE, residue_density_exact
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ps = primes_up_to(10**8)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+densities = [repr(residue_density_exact(ell, 10**8).exact_value) for ell in DENSITY_BOUND_TABLE]
+print(json.dumps({"grew": (after - before) * 1024, "nbytes": ps.nbytes, "densities": densities}))
+"""
+
+
+def test_sieve_memory_stays_near_the_result():
+    """Sieving to 1e8 raises peak RSS by less than three times the result.
+
+    A fresh interpreter, so no earlier test has set the peak.  ru_maxrss is
+    in KiB on Linux.  The whole-range bool sieve took five times the result.
+    """
+    proc = subprocess.run([sys.executable, "-c", _SIEVE_MEMORY], capture_output=True,
+                          text=True, env=checkout_env(), check=True)
+    got = json.loads(proc.stdout)
+    assert got["grew"] < 3 * got["nbytes"], got
+    assert got["densities"] == DENSITIES_AT_1E8
+
+
+def test_primes_in_progression_across_chunks(monkeypatch):
+    for chunk in (PROGRESSION_CHUNK, 7):
+        monkeypatch.setattr(arith, "PROGRESSION_CHUNK", chunk)
+        for limit in (1, 2, 100, 10**6):
+            ps = primes_up_to(limit)
+            for modulus, residue in ((1, 0), (3, 2), (4, 3), (12, -1), (276, 275), (10**7, 3)):
+                got = primes_in_progression(modulus, residue, limit)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, ps[ps % modulus == residue % modulus])
+    assert primes_up_to(10**6).size > PROGRESSION_CHUNK  # the real chunk is crossed
 
 
 def test_primes_in_progression():

@@ -218,7 +218,8 @@ def test_thread_count_never_changes_output():
     assert one == four
 
 
-def test_invalid_input_exits_1():
+def test_invalid_input_exits_1(tmp_path):
+    target = tmp_path / "table.csv"
     for argv in (
         ["genus", "0"],
         ["dirichlet", "--s", "1.0"],
@@ -235,11 +236,18 @@ def test_invalid_input_exits_1():
         ["parity", "--max", "0"],
         ["bounds", "--max", "-1"],
         ["average", "--max", str(10**16 + 1)],  # above LEVEL_MAX
+        # refused before table writes its header
+        ["table", "--max", str(10**16 + 1), "--format", "csv"],
+        ["table", "--max", str(10**16 + 1), "--format", "json"],
+        ["table", "--max", str(10**16 + 1), "--format", "plain"],
+        ["table", "--max", str(10**16 + 1), "--output", str(target)],
+        ["histogram", "--ell", "1048583", "--max", "10"],  # first prime above 2**20
     ):
         code, out, err = run(argv)
         assert code == 1, argv
         assert err.startswith("error:")
         assert out == ""
+    assert not target.exists()
     # at and above 2**64 (2**64 + 13 is prime), refused before any factoring
     for argv in (
         ["genus", "18446744073709551616"],

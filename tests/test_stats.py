@@ -37,7 +37,7 @@ from x0genus.stats import (
     zeta_with_error,
 )
 from x0genus.values import family_members
-from oracles import GROWTH_CONSTANT_DIGITS, growth_constants_mp
+from oracles import GROWTH_CONSTANT_DIGITS, genus_table, growth_constants_mp
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +290,24 @@ def test_histogram_matches_empirical_route():
     bound = 10**5
     h = residue_histogram(3, bound)
     assert h.counts[1] / bound == residue_density_empirical(3, bound)
+
+
+def test_histogram_refuses_ell_above_ceiling(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("ran before the refusal")
+
+    monkeypatch.setattr(stats, "_genus_residue_counts", must_not_run)
+    monkeypatch.setattr(stats, "flagged_residue_classes", must_not_run)
+    with pytest.raises(ValueError, match="ell <="):
+        residue_histogram(1048583, 10)  # the first prime above 2**20
+
+
+def test_empirical_density_counts_only_class_1(monkeypatch):
+    genera = genus_table(10**4).genus.tolist()
+    monkeypatch.setattr(stats, "_genus_residue_counts", None)  # no ell-long counts
+    for ell in (3, 13, 1048583, 2**64 - 59):  # 2**64 - 59 does not fit in int64
+        expected = sum(1 for g in genera if g % ell == 1) / 10**4
+        assert residue_density_empirical(ell, 10**4) == expected, ell
 
 
 def test_histogram_mod_7_regression():
