@@ -201,6 +201,11 @@ def primes_in_progression(modulus: int, residue: int, limit: int) -> np.ndarray:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     ps = primes_up_to(limit)
     residue %= modulus
+    if modulus > limit:
+        # residue itself is the only candidate, so no int64 arithmetic with a
+        # modulus that may not fit one
+        hit = ps[np.searchsorted(ps, min(residue, limit + 1)) :][:1]
+        return hit[hit == residue]
     chunks = (ps[i : i + PROGRESSION_CHUNK] for i in range(0, ps.size, PROGRESSION_CHUNK))
     return np.concatenate([ps[:0], *(c[c % modulus == residue] for c in chunks)])
 

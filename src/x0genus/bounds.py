@@ -90,18 +90,20 @@ def upper_bound(n: int) -> float:
     return n * UPPER_BOUND_COEFF * (ll + 2 / ll)
 
 
-def mu_over_12_bound_check(lo: int, hi: int, threads: int = 1) -> list[int]:
+def mu_over_12_bound_check(lo: int, hi: int) -> list[int]:
     """Levels in [lo, hi] with 12*g0(N) > mu(N).  Expected empty."""
-    return scan(lo, hi, mu_over_12_violations, threads=threads)[0]
+    return scan(lo, hi, mu_over_12_violations)[0]
 
 
 def check_bounds_range(lo: int, hi: int, threads: int = 1) -> list[BoundsReport]:
     """Scan [lo, hi]; report lower-bound equality cases and any violations.
 
     A clean scan returns only equality cases, which should be exactly the
-    squares of primes congruent to 1 mod 12 inside the range.
+    squares of primes congruent to 1 mod 12 inside the range.  `threads`
+    is ignored; it is kept only because the benchmark's deep-windows
+    workload (perfbench/workloads.py) passes it.
     """
-    return scan(lo, hi, bound_reports, threads=threads)[0]
+    return scan(lo, hi, bound_reports)[0]
 
 
 def mu_over_12_violations(blk: GenusBlock) -> list[int]:
@@ -113,7 +115,10 @@ def bound_reports(blk: GenusBlock) -> list[BoundsReport]:
     """The equality cases and bound violations of one block."""
     n = blk.levels
     g = blk.genus
-    lhs = n - 8 - 12 * g
+    # lhs**2 > 25*N decides the lower bound, but wraps int64 once lhs passes
+    # 3.04e9; clamped at a cap whose square exceeds 25*N on the whole block,
+    # lhs compares the same and its square stays below 2.6e17
+    lhs = np.minimum(n - 8 - 12 * g, 5 * math.isqrt(blk.hi) + 5)
     lower_bad = (lhs > 0) & (lhs * lhs > 25 * n)
     equality = (lhs > 0) & (lhs * lhs == 25 * n)
     upper_bad = np.zeros(len(blk), dtype=bool)

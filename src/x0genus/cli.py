@@ -3,7 +3,7 @@
 Formats: csv (RFC-4180-style quoting, newline row terminator), json (one
 document per run), plain (newline-delimited values, or key=value lines
 for single-record commands).  All numeric output is deterministic for
-fixed flags; --threads changes wall time, never a digit.
+fixed flags.
 
 Exit codes: 0 success; 1 invalid input, capacity refusal, or a reader
 that closed the output pipe early; 2 usage error (unknown subcommand,
@@ -155,7 +155,7 @@ _TABLE_LAYOUT = {
 def _cmd_table(args: argparse.Namespace, out: TextIO) -> None:
     header, row, sep, trailer = _TABLE_LAYOUT[args.format]
     out.write(header.replace("%d", str(args.max)))
-    for blk in iter_blocks(1, args.max, threads=args.threads):
+    for blk in iter_blocks(1, args.max):
         rows = zip(range(blk.lo, blk.hi + 1), blk.mu.tolist(), blk.nu2.tolist(),
                    blk.nu3.tolist(), blk.nu_inf.tolist(), blk.genus.tolist())
         out.write((sep if blk.lo > 1 else "") + sep.join(map(row.__mod__, rows)))
@@ -163,14 +163,14 @@ def _cmd_table(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _cmd_missed(args: argparse.Namespace, out: TextIO) -> None:
-    rep = values.missed_values(args.max, threads=args.threads)
+    rep = values.missed_values(args.max)
     rows = ((n, "odd" if n % 2 else "even", i) for i, n in enumerate(rep.missed, start=1))
     plain = (str(n) for n in rep.missed)
     _emit(args, out, asdict(rep), ("n", "parity", "position"), rows, plain)
 
 
 def _cmd_parity(args: argparse.Namespace, out: TextIO) -> None:
-    mismatches = values.verify_parity_classification(args.max, threads=args.threads)
+    mismatches = values.verify_parity_classification(args.max)
     ok = not mismatches
     record = {"max": args.max, "mismatches": mismatches, "ok": ok}
     plain = [f"max={args.max}", f"mismatches={len(mismatches)}", f"ok={_fmt(ok, args.precision)}"]
@@ -179,8 +179,7 @@ def _cmd_parity(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> None:
-    reports, mu12 = scan(1, args.max, bounds.bound_reports, bounds.mu_over_12_violations,
-                         threads=args.threads)
+    reports, mu12 = scan(1, args.max, bounds.bound_reports, bounds.mu_over_12_violations)
     violations = [r.n for r in reports if r.is_violation]
     equality = [r.n for r in reports if r.lower_equality]
     expected = bounds.expected_equality_levels(1, args.max)
@@ -206,19 +205,19 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _cmd_average(args: argparse.Namespace, out: TextIO) -> None:
-    _emit(args, out, asdict(stats.average_partial(args.max, threads=args.threads)))
+    _emit(args, out, asdict(stats.average_partial(args.max)))
 
 
 def _cmd_density(args: argparse.Namespace, out: TextIO) -> None:
     d = stats.residue_density_exact(args.ell)
     if args.empirical_max is not None:
-        freq = stats.residue_density_empirical(args.ell, args.empirical_max, threads=args.threads)
+        freq = stats.residue_density_empirical(args.ell, args.empirical_max)
         d = replace(d, empirical_frequency=freq, sample_bound=args.empirical_max)
     _emit(args, out, asdict(d))
 
 
 def _cmd_histogram(args: argparse.Namespace, out: TextIO) -> None:
-    h = stats.residue_histogram(args.ell, args.max, threads=args.threads)
+    h = stats.residue_histogram(args.ell, args.max)
     flagged = set(h.flagged)
     counts = list(enumerate(h.counts))
     rows = ((r, c, _fmt(r in flagged, args.precision)) for r, c in counts)
@@ -232,7 +231,7 @@ def _cmd_constants(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _cmd_dirichlet(args: argparse.Namespace, out: TextIO) -> None:
-    chk = stats.zeta_identity_check(args.s, threads=args.threads)
+    chk = stats.zeta_identity_check(args.s)
     _emit(args, out, asdict(chk) | {"ok": chk.ok})
 
 
@@ -244,12 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="output file (default: stdout)")
     common.add_argument(
         "--precision", type=int, default=10, help="significant digits for real values, >= 1"
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for range scans, >= 1 (results identical)",
     )
 
     p = argparse.ArgumentParser(
@@ -306,8 +299,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     func: Callable[[argparse.Namespace, TextIO], None] = args.func
     try:
-        # every subcommand has --threads and --precision, the range scans --max
-        for flag in ("threads", "precision", "max"):
+        # every subcommand has --precision, the range scans --max
+        for flag in ("precision", "max"):
             value = getattr(args, flag, 1)
             if value < 1:
                 raise ValueError(f"--{flag} must be >= 1, got {value}")

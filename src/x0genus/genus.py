@@ -20,15 +20,13 @@ For batch ranges there is a segmented, numpy-vectorized sieve
 level in a window, up to LEVEL_MAX.  One routine, _lift, holds the rule for
 how a prime power p**j changes mu, nu2, nu3 and nu_inf; the strided
 small-prime pass, the batched large-prime passes and the cofactor pass
-only list the levels it applies to.  Segments are fixed-size and
-independent, so results are identical no matter how work is sharded across
-threads.  scan feeds each block of one such pass to any number of reducers.
+only list the levels it applies to.  iter_blocks cuts a range into
+fixed-size segments and sieves them one after another in the calling
+thread; scan feeds each block of one such pass to any number of reducers.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Iterator
@@ -37,9 +35,9 @@ import numpy as np
 
 from .arith import Factorization, factorize, multiples, primes_up_to
 
-# Fixed segment width for batch scans.  Sharding over segments of this size
-# is what --threads parallelizes; keeping the width constant makes every
-# aggregate bit-identical regardless of thread count.
+# Fixed segment width for batch scans.  It is a constant, not a parameter,
+# because some aggregates depend on where the blocks are cut: average_partial
+# fsums one float sum per block, so another width could change its last bits.
 SEGMENT = 1 << 17
 
 # breakdown_block applies primes up to this one with strided index runs, one
@@ -303,46 +301,29 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
 
 
 def iter_blocks(lo: int, hi: int, threads: int = 1) -> Iterator[GenusBlock]:
-    """Yield breakdown blocks covering [lo, hi] in order.
+    """Yield breakdown blocks covering [lo, hi] in order, one per SEGMENT.
 
-    Segmentation is fixed by SEGMENT, never by `threads`; worker count
-    only changes how many segments are in flight, so every consumer sees
-    the same blocks in the same order.  `threads` must be at least 1; the
-    pool gets no more workers than there are CPUs or segments.  hi above
-    LEVEL_MAX raises ValueError before any prime is sieved.
+    hi above LEVEL_MAX raises ValueError before any prime is sieved.
+    `threads` is ignored; it is kept only because the benchmark's trace
+    wrapper (perfbench/spans.py) reads that argument.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if hi < lo:
         return
     if hi > LEVEL_MAX:
         raise ValueError(f"levels stop at LEVEL_MAX = {LEVEL_MAX}, got hi = {hi}")
     primes = primes_up_to(isqrt(hi))
-    starts = range(lo, hi + 1, SEGMENT)
-    workers = min(threads, os.cpu_count() or 1, len(starts))
-    if workers <= 1:
-        for a in starts:
-            yield breakdown_block(a, min(a + SEGMENT - 1, hi), primes)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        for a in starts:
-            pending.append(pool.submit(breakdown_block, a, min(a + SEGMENT - 1, hi), primes))
-            if len(pending) >= 2 * workers:
-                yield pending.pop(0).result()
-        while pending:
-            yield pending.pop(0).result()
+    for a in range(lo, hi + 1, SEGMENT):
+        yield breakdown_block(a, min(a + SEGMENT - 1, hi), primes)
 
 
-def scan(lo: int, hi: int, *reducers: Callable[[GenusBlock], list], threads: int = 1) -> list[list]:
+def scan(lo: int, hi: int, *reducers: Callable[[GenusBlock], list]) -> list[list]:
     """Sieve [lo, hi] once and pass every block to each reducer.
 
     A reducer maps a block to a list.  The result holds one list per
-    reducer, its lists joined in level order; blocks arrive in order
-    whatever `threads` is, so no result depends on it.
+    reducer, its lists joined in level order.
     """
     out: list[list] = [[] for _ in reducers]
-    for blk in iter_blocks(lo, hi, threads=threads):
+    for blk in iter_blocks(lo, hi):
         for acc, reduce in zip(out, reducers):
             acc.extend(reduce(blk))
     return out

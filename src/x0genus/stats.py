@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import factorize, multiples, primes_in_progression, primes_up_to
-from .genus import LEVEL_MAX, ConsistencyError, scan
+from .genus import LEVEL_MAX, ConsistencyError, GenusBlock, scan
 
 AVG_RATIO_TARGET = 5.0 / (4.0 * pi**2)  # limit of (1/B) sum g0(N)/N
 AVG_SUM_TARGET = 5.0 / (8.0 * pi**2)  # limit of (1/B^2) sum g0(N)
@@ -150,7 +150,18 @@ class AverageReport:
     target: float = AVG_RATIO_TARGET
 
 
-def average_partial(bound: int, threads: int = 1) -> AverageReport:
+def block_genus_sum(blk: GenusBlock) -> list[int]:
+    """The exact sum of a block's genera, as a one-item list.
+
+    An int64 sum of a SEGMENT of genera wraps from about N = 5.5e14, so the
+    high and low 32-bit halves are summed apart: below LEVEL_MAX each half
+    sums to less than 2**50 over a block of up to 2**17 levels.
+    """
+    g = blk.genus
+    return [(int(np.sum(g >> 32)) << 32) + int(np.sum(g & 0xFFFFFFFF))]
+
+
+def average_partial(bound: int) -> AverageReport:
     """Partial averages of g0 over all levels up to bound.
 
     The genus sum is accumulated exactly in integers; the ratio sum uses
@@ -159,7 +170,7 @@ def average_partial(bound: int, threads: int = 1) -> AverageReport:
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
     ratio_parts, genus_parts = scan(1, bound, lambda b: [float(np.sum(b.genus / b.levels))],
-                                    lambda b: [int(b.genus.sum())], threads=threads)
+                                    block_genus_sum)
     return AverageReport(
         bound=bound,
         avg_ratio=fsum(ratio_parts) / bound,
@@ -167,7 +178,7 @@ def average_partial(bound: int, threads: int = 1) -> AverageReport:
     )
 
 
-def dirichlet_F(s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS, threads: int = 1) -> float:
+def dirichlet_F(s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS) -> float:
     """Partial sum of F(s) = sum (mu(N)/N) N^(-s) over N <= n_terms.
 
     The omitted tail is positive and below dirichlet_tail_bound(s, n_terms).
@@ -175,8 +186,7 @@ def dirichlet_F(s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS, threads: int =
     _require_s(s, "F (pole at s = 1)")
     if n_terms < 1:
         raise ValueError(f"need n_terms >= 1, got {n_terms}")
-    parts = scan(1, n_terms, lambda b: [float(np.sum(b.mu * b.levels ** (-s - 1.0)))],
-                 threads=threads)
+    parts = scan(1, n_terms, lambda b: [float(np.sum(b.mu * b.levels ** (-s - 1.0)))])
     return fsum(parts[0])
 
 
@@ -212,15 +222,13 @@ class DirichletCheck:
         return self.gap <= self.tail_bound + self.rhs_error + 1e-11 * (1.0 + abs(self.rhs))
 
 
-def zeta_identity_check(
-    s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS, threads: int = 1
-) -> DirichletCheck:
+def zeta_identity_check(s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS) -> DirichletCheck:
     """Compare the partial sum of F(s) with zeta(s) zeta(s+1) / zeta(2s+2).
 
     The gap must sit inside the computed tail bound plus the zeta remainder
     budget; nothing is fitted.
     """
-    lhs = dirichlet_F(s, n_terms, threads=threads)
+    lhs = dirichlet_F(s, n_terms)
     z1, e1 = zeta_with_error(s)
     z2, e2 = zeta_with_error(s + 1.0)
     z3, e3 = zeta_with_error(2.0 * s + 2.0)
@@ -287,7 +295,7 @@ def bound_3_over_ell_squared(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -
     return d.exact_value + d.truncation_error < 3.0 / ell**2
 
 
-def _genus_residue_counts(m: int, bound: int, threads: int) -> np.ndarray:
+def _genus_residue_counts(m: int, bound: int) -> np.ndarray:
     """Number of levels N <= bound with g0(N) = r (mod m), for each r < m."""
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
@@ -297,11 +305,11 @@ def _genus_residue_counts(m: int, bound: int, threads: int) -> np.ndarray:
         counts[:] += np.bincount(blk.genus % m, minlength=m)
         return []
 
-    scan(1, bound, add, threads=threads)
+    scan(1, bound, add)
     return counts
 
 
-def residue_density_empirical(ell: int, bound: int, threads: int = 1) -> float:
+def residue_density_empirical(ell: int, bound: int) -> float:
     """Frequency of g0(N) = 1 (mod ell) over all levels N <= bound.
 
     Only class 1 is counted, so no array as long as ell is made.
@@ -312,13 +320,13 @@ def residue_density_empirical(ell: int, bound: int, threads: int = 1) -> float:
     # g0(N) < N <= LEVEL_MAX, so for a larger ell the int64 reduction mod
     # LEVEL_MAX leaves every genus as reduction mod ell would
     m = min(ell, LEVEL_MAX)
-    hits = scan(1, bound, lambda b: [int(np.count_nonzero(b.genus % m == 1))], threads=threads)
+    hits = scan(1, bound, lambda b: [int(np.count_nonzero(b.genus % m == 1))])
     return sum(hits[0]) / bound
 
 
-def even_genus_frequency(bound: int, threads: int = 1) -> float:
+def even_genus_frequency(bound: int) -> float:
     """Frequency of even g0(N) over all levels N <= bound (the ell = 2 case)."""
-    return int(_genus_residue_counts(2, bound, threads)[0]) / bound
+    return int(_genus_residue_counts(2, bound)[0]) / bound
 
 
 def flagged_residue_classes(ell: int) -> tuple[int, ...]:
@@ -364,12 +372,12 @@ class ResidueHistogram:
     enrichment_holds: Optional[bool]
 
 
-def residue_histogram(ell: int, bound: int, threads: int = 1) -> ResidueHistogram:
+def residue_histogram(ell: int, bound: int) -> ResidueHistogram:
     """Histogram of g0(N) mod ell over all levels N <= bound, for ell <= HISTOGRAM_ELL_MAX."""
     _require_odd_prime(ell)
     if ell > HISTOGRAM_ELL_MAX:
         raise ValueError(f"histograms take ell <= {HISTOGRAM_ELL_MAX}, got {ell}")
-    counts = _genus_residue_counts(ell, bound, threads)
+    counts = _genus_residue_counts(ell, bound)
     flagged = flagged_residue_classes(ell)
     primitive = two_is_primitive_root(ell)
     enrichment = None
@@ -385,7 +393,7 @@ def residue_histogram(ell: int, bound: int, threads: int = 1) -> ResidueHistogra
     )
 
 
-def restricted_congruence_check(ell: int, bound: int, threads: int = 1) -> list[int]:
+def restricted_congruence_check(ell: int, bound: int) -> list[int]:
     """Violations of g0(N) = 1 - nu_inf/2 (mod ell) on the restricted levels.
 
     Restricted means N divisible by some prime q = -1 (mod 12*ell); such a
@@ -396,15 +404,18 @@ def restricted_congruence_check(ell: int, bound: int, threads: int = 1) -> list[
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
     qs = primes_in_progression(12 * ell, 12 * ell - 1, bound)
+    # g0 - 1 + nu_inf // 2 lies in [-1, N), so for an ell above LEVEL_MAX,
+    # which may not fit int64, reduction mod LEVEL_MAX finds the same zeros
+    m = min(ell, LEVEL_MAX)
 
     def violations(blk):
         sel = np.zeros(len(blk), dtype=bool)
         sel[multiples(blk.lo, blk.hi, qs)[0]] = True
         if np.any(blk.nu_inf[sel] % 2):
             raise ConsistencyError("odd cusp count on a level with a factor = -1 mod 12*ell")
-        return blk.where(sel & ((blk.genus - 1 + blk.nu_inf // 2) % ell != 0))
+        return blk.where(sel & ((blk.genus - 1 + blk.nu_inf // 2) % m != 0))
 
-    return scan(1, bound, violations, threads=threads)[0]
+    return scan(1, bound, violations)[0]
 
 
 def squarefree_fraction(bound: int) -> float:

@@ -56,7 +56,7 @@ class MissedValuesReport:
     first_odd_position: Optional[int]  # 1-based index into missed
 
 
-def attained_genera(x: int, threads: int = 1) -> np.ndarray:
+def attained_genera(x: int) -> np.ndarray:
     """Bitmap over [0, x]: bit n set iff some level has genus n.
 
     Completeness is guaranteed by scanning every level below
@@ -70,19 +70,19 @@ def attained_genera(x: int, threads: int = 1) -> np.ndarray:
             f"x={x} needs a scan over {limit} levels, beyond capacity {DEFAULT_SCAN_CAPACITY}"
         )
     attained = np.zeros(x + 1, dtype=bool)
-    for blk in iter_blocks(1, limit, threads=threads):
+    for blk in iter_blocks(1, limit):
         g = blk.genus
         attained[g[g <= x]] = True
     return attained
 
 
-def missed_values(x: int, threads: int = 1) -> MissedValuesReport:
+def missed_values(x: int) -> MissedValuesReport:
     """Complement of the attained set within [1, x], with parity bookkeeping.
 
     Zero is attained (level 1 has genus 0) and excluded from the counts,
     which cover positive n only.
     """
-    attained = attained_genera(x, threads=threads)
+    attained = attained_genera(x)
     missed = np.nonzero(~attained[1:])[0] + 1
     odd = missed[missed % 2 == 1]
     first_odd = None
@@ -177,7 +177,7 @@ def family_members(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return member
 
 
-def verify_parity_classification(limit: int, threads: int = 1) -> list[int]:
+def verify_parity_classification(limit: int) -> list[int]:
     """Levels <= limit where family membership disagrees with genus parity.
 
     Expected empty.
@@ -186,8 +186,7 @@ def verify_parity_classification(limit: int, threads: int = 1) -> list[int]:
         raise ValueError(f"need limit >= 1, got {limit}")
     primes = primes_up_to(limit)
     return scan(1, limit,
-                lambda b: b.where((b.genus % 2 == 0) != family_members(b.lo, b.hi, primes)),
-                threads=threads)[0]
+                lambda b: b.where((b.genus % 2 == 0) != family_members(b.lo, b.hi, primes)))[0]
 
 
 def odd_prime_counts(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -199,7 +198,7 @@ def odd_prime_counts(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return np.bincount(multiples(lo, hi, odd)[0], minlength=hi - lo + 1)
 
 
-def power_of_two_congruence_check(limit: int, threads: int = 1) -> list[int]:
+def power_of_two_congruence_check(limit: int) -> list[int]:
     """Levels <= limit violating g0(N) = 1 (mod 2**(s-2)).
 
     Only levels with s > 2 distinct odd prime divisors are in scope.
@@ -214,15 +213,15 @@ def power_of_two_congruence_check(limit: int, threads: int = 1) -> list[int]:
         modulus_mask = (np.int64(1) << np.maximum(s - 2, 0)) - 1
         return blk.where((s > 2) & (((blk.genus - 1) & modulus_mask) != 0))
 
-    return scan(1, limit, violations, threads=threads)[0]
+    return scan(1, limit, violations)[0]
 
 
-def even_attained_count(x: int, threads: int = 1) -> tuple[int, float]:
+def even_attained_count(x: int) -> tuple[int, float]:
     """Count of even attained values in [1, x], and its ratio to x/log x.
 
     The ratio is a slow-convergence diagnostic (the count is asymptotically
     proportional to x/log x); it is reported, never gated.
     """
-    attained = attained_genera(x, threads=threads)
+    attained = attained_genera(x)
     count = int(np.count_nonzero(attained[2::2]))
     return count, count / (x / log(x))

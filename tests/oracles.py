@@ -378,9 +378,9 @@ def genus_range(lo: int, hi: int, spf: SpfTable) -> Iterator[GenusBreakdown]:
         yield breakdown_from_factorization(spf.factorize(n))
 
 
-def genus_table(limit: int, threads: int = 1) -> GenusBlock:
+def genus_table(limit: int) -> GenusBlock:
     """Single block covering [1, limit] (convenience for whole-range scans)."""
-    blocks = list(iter_blocks(1, limit, threads=threads))
+    blocks = list(iter_blocks(1, limit))
     if len(blocks) == 1:
         return blocks[0]
     return GenusBlock(

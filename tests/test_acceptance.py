@@ -18,8 +18,6 @@ from oracles import (
     nu_inf_divisor_sum,
 )
 
-THREADS = 4
-
 
 def _gate(num: int, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
@@ -45,12 +43,12 @@ def test_c01_missed_values_at_1e5(missed_1e5):
 
 
 def test_c02_parity_classification_at_1e6():
-    mismatches = values.verify_parity_classification(10**6, threads=THREADS)
+    mismatches = values.verify_parity_classification(10**6)
     _gate(2, mismatches == [], f"{len(mismatches)} parity mismatches for N <= 1e6")
 
 
 def test_c03_bounds_at_1e6(genus_1e6):
-    reports = bounds.check_bounds_range(1, 10**6, threads=THREADS)
+    reports = bounds.check_bounds_range(1, 10**6)
     violations = [r.n for r in reports if r.is_violation]
     equality = [r.n for r in reports if r.lower_equality]
     expected = bounds.expected_equality_levels(1, 10**6)
@@ -86,7 +84,7 @@ def test_c04_oracle_equivalences(genus_1e6):
 
 
 def test_c05_average_at_1e6():
-    rep = stats.average_partial(10**6, threads=THREADS)
+    rep = stats.average_partial(10**6)
     gap = abs(rep.avg_ratio - stats.AVG_RATIO_TARGET)
     ok = gap < 1e-3 and abs(stats.AVG_RATIO_TARGET - 0.126651) < 1e-6
     _gate(
@@ -98,7 +96,7 @@ def test_c05_average_at_1e6():
 
 
 def test_c06_dirichlet_identity():
-    checks = [stats.zeta_identity_check(s, threads=THREADS) for s in (1.5, 2.0, 3.0)]
+    checks = [stats.zeta_identity_check(s) for s in (1.5, 2.0, 3.0)]
     ok = all(c.ok for c in checks)
     worst = max(c.gap / (c.tail_bound + c.rhs_error) for c in checks)
     _gate(
@@ -110,7 +108,7 @@ def test_c06_dirichlet_identity():
 
 
 def test_c07_power_of_two_congruence_at_1e6():
-    bad = values.power_of_two_congruence_check(10**6, threads=THREADS)
+    bad = values.power_of_two_congruence_check(10**6)
     counts = values.odd_prime_counts(1, 10**6, arith.primes_up_to(10**6))
     in_scope = int(np.count_nonzero(counts > 2))
     _gate(
@@ -172,7 +170,7 @@ def test_c09_residue_density_bounds():
 
 
 def test_c10_histogram_enrichment_mod_7():
-    h = stats.residue_histogram(7, 10**6, threads=THREADS)
+    h = stats.residue_histogram(7, 10**6)
     low = min(h.counts[r] for r in (0, 4, 6))
     high = max(h.counts[r] for r in (2, 3, 5))
     ok = low > high and h.enrichment_holds is True

@@ -290,7 +290,9 @@ def test_primes_in_progression_across_chunks(monkeypatch):
         monkeypatch.setattr(arith, "PROGRESSION_CHUNK", chunk)
         for limit in (1, 2, 100, 10**6):
             ps = primes_up_to(limit)
-            for modulus, residue in ((1, 0), (3, 2), (4, 3), (12, -1), (276, 275), (10**7, 3)):
+            # a modulus above the limit takes its own route, checked here too
+            for modulus, residue in ((1, 0), (3, 2), (4, 3), (12, -1), (276, 275), (1009, 1008),
+                                     (10**7, 3), (2**62, -1)):
                 got = primes_in_progression(modulus, residue, limit)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, ps[ps % modulus == residue % modulus])
@@ -305,6 +307,10 @@ def test_primes_in_progression():
     assert ps.dtype == np.int64
     assert all(p % 12 == 11 for p in ps)
     assert ps.tolist() == sorted(ps.tolist())
+    # a modulus that does not fit int64: the residue is the only candidate
+    assert primes_in_progression(2**70, 7, 100).tolist() == [7]
+    assert primes_in_progression(2**70, 8, 100).size == 0
+    assert primes_in_progression(2**70, 2**69 + 7, 100).size == 0  # residue above the limit
     with pytest.raises(ValueError):
         primes_in_progression(0, 1, 100)
 

@@ -1,14 +1,17 @@
 """Lower/upper genus bounds, equality levels, and primorial diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from x0genus.arith import factorize
 from x0genus.bounds import (
     MERTENS_COEFF,
     UPPER_BOUND_COEFF,
     BoundsReport,
+    bound_reports,
     check_bounds_range,
     expected_equality_levels,
     limsup_diagnostic,
@@ -20,7 +23,7 @@ from x0genus.bounds import (
     primorial,
     upper_bound,
 )
-from x0genus.genus import genus
+from x0genus.genus import breakdown_block, genus
 
 
 def test_lower_bound_value():
@@ -77,6 +80,25 @@ def test_violation_report_logic():
     assert not r.is_violation  # g0(100) = 7 clears the lower bound 3.5
     fake = BoundsReport(n=1000, genus=0, lower=lower_bound(1000), upper=upper_bound(1000), lower_equality=False)
     assert fake.is_violation  # genus 0 sits far below the lower bound at 1000
+
+
+@pytest.mark.parametrize("lo", [10**9, 4 * 10**9, 10**12, 10**16 - 2**17])
+def test_planted_genus_zero_is_reported(lo):
+    # lhs = N - 8, and its int64 square wraps from lhs of about 3.04e9
+    blk = breakdown_block(lo, lo + 1023)
+    n = lo + 500
+    genera = blk.genus.copy()
+    genera[n - lo] = 0
+    reports = bound_reports(replace(blk, genus=genera))
+    assert [(r.n, r.is_violation) for r in reports] == [(n, True)]
+
+
+def test_equality_found_near_level_max():
+    # the largest square of a prime p = 1 (mod 12) up to 10**16
+    p = next(q for q in range(10**8 - 3, 0, -12) if factorize(q).factors == ((q, 1),))
+    n = p * p
+    reports = bound_reports(breakdown_block(n - 512, n + 511))
+    assert [(r.n, r.lower_equality, r.is_violation) for r in reports] == [(n, True, False)]
 
 
 def test_primorials():

@@ -212,12 +212,6 @@ def test_output_file(tmp_path):
     assert target.read_text(encoding="utf-8") == direct
 
 
-def test_thread_count_never_changes_output():
-    _, one, _ = run(["table", "--max", "200000", "--format", "csv"])
-    _, four, _ = run(["table", "--max", "200000", "--format", "csv", "--threads", "4"])
-    assert one == four
-
-
 def test_invalid_input_exits_1(tmp_path):
     target = tmp_path / "table.csv"
     for argv in (
@@ -260,22 +254,10 @@ def test_invalid_input_exits_1(tmp_path):
         assert out == ""
 
 
-def test_threads_below_one_exits_1(tmp_path):
-    target = tmp_path / "out.csv"
-    for argv in (
-        ["table", "--max", "100", "--threads", "0"],
-        ["bounds", "--max", "100", "--threads", "-2"],
-        ["genus", "11", "--threads", "0", "--output", str(target)],
-    ):
-        code, out, err = run(argv)
-        assert code == 1, argv
-        assert err.startswith("error: --threads must be >= 1"), err
-        assert out == ""
-    assert not target.exists()
-
-
 def test_usage_errors_exit_2():
-    for argv in ([], ["frobnicate"], ["genus", "abc"], ["table"]):
+    # an unknown flag, --threads among them, is a usage error
+    for argv in ([], ["frobnicate"], ["genus", "abc"], ["table"],
+                 ["table", "--max", "100", "--threads", "2"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
@@ -304,6 +286,23 @@ def test_runtime_imports_no_scipy():
                           env=checkout_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "A=0.54259858" in proc.stdout
+
+
+def test_package_starts_no_threads():
+    # every scan runs in the calling thread, and no thread pool is imported
+    script = (
+        "import sys, threading, x0genus, x0genus.cli\n"
+        "from x0genus.genus import SEGMENT\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "before = threading.active_count()\n"
+        "seen = x0genus.scan(1, 3 * SEGMENT, lambda b: [threading.active_count()])[0]\n"
+        "assert seen == [before] * 3, (before, seen)\n"
+        "assert threading.active_count() == before\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=checkout_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_pipe_exits_1_without_traceback():

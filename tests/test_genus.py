@@ -6,7 +6,6 @@ factorization, the vectorized block sieve, and definition-level oracles
 """
 
 import importlib
-from concurrent.futures import Future
 from math import isqrt
 
 import numpy as np
@@ -206,17 +205,11 @@ def test_genus_range_validation():
         list(genus_range(1, 101, spf))
 
 
-def test_iter_blocks_segmentation_and_thread_invariance():
+def test_iter_blocks_segmentation():
     hi = 3 * SEGMENT + 123
-    ones = list(iter_blocks(1, hi))
-    fours = list(iter_blocks(1, hi, threads=4))
-    assert [(b.lo, b.hi) for b in ones] == [(b.lo, b.hi) for b in fours]
-    assert ones[0].lo == 1 and ones[-1].hi == hi
-    for a, b in zip(ones, ones[1:]):
-        assert b.lo == a.hi + 1
-    for a, b in zip(ones, fours):
-        assert np.array_equal(a.genus, b.genus)
-        assert np.array_equal(a.mu, b.mu)
+    blocks = list(iter_blocks(1, hi))
+    assert [(b.lo, b.hi) for b in blocks] == [(a, min(a + SEGMENT - 1, hi))
+                                              for a in range(1, hi + 1, SEGMENT)]
     assert list(iter_blocks(5, 4)) == []
 
 
@@ -332,47 +325,6 @@ def test_blocks_match_independent_factorization(lo, width, data):
         assert blk.breakdown(n) == breakdown_from_factorization(f)
 
 
-def test_iter_blocks_threads_validated_and_clamped(monkeypatch):
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="threads"):
-            list(iter_blocks(1, 100, threads=bad))
-    pool_sizes = []
-
-    class InlinePool:
-        """ThreadPoolExecutor stand-in that runs each task on submit."""
-
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(genus_module, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(genus_module.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(genus_module, "SEGMENT", 100)
-    serial = list(iter_blocks(1, 1000))
-    # 10 segments, 4 CPUs: the CPU count caps the pool
-    clamped = list(iter_blocks(1, 1000, threads=10**9))
-    # 3 segments: the segment count caps it
-    list(iter_blocks(1, 300, threads=10**9))
-    assert pool_sizes == [4, 3]
-    for a, b in zip(serial, clamped):
-        _assert_blocks_equal(a, b)
-    # one CPU or one segment: no pool at all
-    monkeypatch.setattr(genus_module.os, "cpu_count", lambda: None)
-    list(iter_blocks(1, 1000, threads=8))
-    list(iter_blocks(1, 100, threads=8))
-    assert pool_sizes == [4, 3]
-
-
 def test_scan_feeds_every_reducer_from_one_pass():
     hi = 2 * SEGMENT + 500
 
@@ -386,13 +338,11 @@ def test_scan_feeds_every_reducer_from_one_pass():
     want_evens = (np.nonzero(table.genus % 2 == 0)[0] + 1).tolist()
     want_sums = [int(table.genus[a : a + SEGMENT].sum()) for a in range(0, hi, SEGMENT)]
     assert len(want_sums) == 3
-    for threads in (1, 2):
-        both = scan(1, hi, evens, sums, threads=threads)
-        alone = [scan(1, hi, evens, threads=threads)[0], scan(1, hi, sums, threads=threads)[0]]
-        assert both == alone == [want_evens, want_sums]
-        assert all(type(n) is int for n in both[0])
+    both = scan(1, hi, evens, sums)
+    alone = [scan(1, hi, evens)[0], scan(1, hi, sums)[0]]
+    assert both == alone == [want_evens, want_sums]
+    assert all(type(n) is int for n in both[0])
     assert scan(5, 4, evens, sums) == [[], []]
-    assert scan(5, 4, evens, sums, threads=2) == [[], []]
 
 
 def test_package_genus_is_the_function_and_the_module_stays_reachable():

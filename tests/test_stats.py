@@ -10,7 +10,7 @@ import scipy.special
 
 from x0genus import stats
 from x0genus.arith import primes_in_progression, primes_up_to
-from x0genus.genus import SEGMENT, genus
+from x0genus.genus import SEGMENT, breakdown_block, genus
 from x0genus.stats import (
     AVG_RATIO_TARGET,
     AVG_SUM_TARGET,
@@ -21,6 +21,7 @@ from x0genus.stats import (
     _bisect,
     asymptotic_constants,
     average_partial,
+    block_genus_sum,
     bound_3_over_ell_squared,
     dirichlet_F,
     dirichlet_tail_bound,
@@ -112,10 +113,12 @@ def test_average_regressions():
     assert rep.target == AVG_RATIO_TARGET
 
 
-def test_average_thread_invariance():
-    a = average_partial(30000)
-    b = average_partial(30000, threads=4)
-    assert a == b
+@pytest.mark.parametrize("lo", [6 * 10**14, 10**16 - 2**17])
+def test_block_genus_sum_is_exact_near_level_max(lo):
+    blk = breakdown_block(lo, lo + SEGMENT - 1)
+    exact = sum(blk.genus.tolist())
+    assert exact >= 2**63  # an int64 sum would wrap
+    assert block_genus_sum(blk) == [exact]
 
 
 def test_average_targets():
@@ -142,7 +145,7 @@ def test_dirichlet_identity_small_and_regression():
         chk = zeta_identity_check(s, n_terms=10**4)
         assert chk.ok
         assert chk.gap <= chk.tail_bound + chk.rhs_error + 1e-11 * (1 + abs(chk.rhs))
-    chk = zeta_identity_check(2.0, n_terms=10**6, threads=4)
+    chk = zeta_identity_check(2.0, n_terms=10**6)
     assert chk.ok
     assert chk.lhs == pytest.approx(1.943594917004289, rel=1e-13)
     assert chk.rhs == pytest.approx(1.9435964368207594, rel=1e-13)
@@ -311,7 +314,7 @@ def test_empirical_density_counts_only_class_1(monkeypatch):
 
 
 def test_histogram_mod_7_regression():
-    h = residue_histogram(7, 10**6, threads=4)
+    h = residue_histogram(7, 10**6)
     assert h.counts == (158585, 129747, 137553, 132881, 149710, 136735, 154789)
     assert h.flagged == (0, 4, 6)
     assert not h.two_primitive_root
@@ -327,12 +330,12 @@ def test_empirical_frequencies_need_a_level():
 
 
 def test_empirical_density_regressions():
-    assert residue_density_empirical(3, 10**6, threads=4) == pytest.approx(0.342351, abs=1e-12)
-    assert residue_density_empirical(5, 10**6, threads=4) == pytest.approx(0.180205, abs=1e-12)
+    assert residue_density_empirical(3, 10**6) == pytest.approx(0.342351, abs=1e-12)
+    assert residue_density_empirical(5, 10**6) == pytest.approx(0.180205, abs=1e-12)
 
 
 def test_even_genus_frequency_matches_family_count():
-    freq = even_genus_frequency(10**6, threads=4)
+    freq = even_genus_frequency(10**6)
     assert freq == pytest.approx(0.071388, abs=1e-12)
     # independent route: count members of the six families directly
     members = int(np.count_nonzero(family_members(1, 10**6, primes_up_to(10**6))))
@@ -352,6 +355,9 @@ def test_restricted_congruence_clean():
     # the scans above are not vacuous
     assert primes_in_progression(36, 35, 10**5).size
     assert primes_in_progression(60, 59, 3 * 10**4).size
+    # 12*ell past int64: no prime up to the bound is -1 mod 12*ell
+    assert restricted_congruence_check(2**61 - 1, 1000) == []
+    assert restricted_congruence_check(2**64 - 59, 1000) == []  # the last prime below 2**64
 
 
 def test_restricted_congruence_selects_the_restricted_levels(monkeypatch):
@@ -359,9 +365,9 @@ def test_restricted_congruence_selects_the_restricted_levels(monkeypatch):
     # congruence mod 3, so the check returns exactly those levels
     real_scan = stats.scan
 
-    def shifted_scan(lo, hi, *reducers, threads=1):
+    def shifted_scan(lo, hi, *reducers):
         shifted = [lambda b, r=r: r(replace(b, genus=b.genus + 1)) for r in reducers]
-        return real_scan(lo, hi, *shifted, threads=threads)
+        return real_scan(lo, hi, *shifted)
 
     monkeypatch.setattr(stats, "scan", shifted_scan)
     bound = SEGMENT + 5000
