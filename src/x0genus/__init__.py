@@ -19,7 +19,6 @@ module with `importlib.import_module("x0genus.genus")` or with
 
 from .arith import (
     Factorization,
-    euler_phi,
     factorize,
     primes_in_progression,
     primes_up_to,
@@ -113,7 +112,6 @@ __all__ = [
     "check_bounds_range",
     "dirichlet_F",
     "dirichlet_tail_bound",
-    "euler_phi",
     "even_attained_count",
     "even_genus_family",
     "even_genus_frequency",

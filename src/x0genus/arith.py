@@ -52,14 +52,12 @@ class Factorization:
 # bases are exact and Pollard-Brent rho needs about n**(1/4) = 2**16 steps.
 FACTOR_LIMIT = 2**64
 
-# trial divisors: every prime below 1000
-_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1)))
-# the first 12 primes are strong-pseudoprime witnesses for every composite
-# below 3.18e23 (Jiang and Deng 2014; Sorenson and Webster 2015)
-_MR_BASES = _SMALL_PRIMES[:12]
 # rho steps multiplied together between two gcds
 _RHO_BATCH = 128
 
+# primes_up_to's domain is limit <= PRIME_LIMIT_MAX: the 50847534 primes up
+# to 1e9 take 388 MiB, and a whole-range prime list past that outgrows memory
+PRIME_LIMIT_MAX = 10**9
 # odd numbers per block of the prime sieve: 512 KB of flags, which stays in
 # a core's L2 cache
 PRIME_BLOCK = 1 << 19
@@ -152,7 +150,13 @@ def _rho(n: int) -> int:
 
 @lru_cache(maxsize=8)
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as an int64 array; cached, so read-only."""
+    """All primes <= limit, ascending, as an int64 array; cached, so read-only.
+
+    A limit above PRIME_LIMIT_MAX is refused before anything is allocated.
+    """
+    if limit > PRIME_LIMIT_MAX:
+        raise ValueError(f"primes are listed up to PRIME_LIMIT_MAX = {PRIME_LIMIT_MAX}, "
+                         f"got {limit}")
     primes = _sieve(limit)
     primes.flags.writeable = False
     return primes
@@ -195,6 +199,14 @@ def _sieve(limit: int) -> np.ndarray:
     return primes
 
 
+# trial divisors: every prime below 1000, as Python ints so that factorize
+# never computes in int64
+_SMALL_PRIMES = tuple(_sieve(999).tolist())
+# the first 12 primes are strong-pseudoprime witnesses for every composite
+# below 3.18e23 (Jiang and Deng 2014; Sorenson and Webster 2015)
+_MR_BASES = _SMALL_PRIMES[:12]
+
+
 def primes_in_progression(modulus: int, residue: int, limit: int) -> np.ndarray:
     """Primes p <= limit with p = residue (mod modulus), ascending, as an int64 array."""
     if modulus < 1:
@@ -224,12 +236,3 @@ def multiples(lo: int, hi: int, steps: np.ndarray):
     # k-th multiple of its step: position in the list minus its run's start
     k = np.arange(owner.size, dtype=np.int64) - (np.cumsum(count) - count)[owner]
     return offset[owner] + k * steps[owner], owner, count > 0
-
-
-def euler_phi(f: Factorization) -> int:
-    """Euler's totient from a factorization: prod p**(e-1) * (p-1)."""
-    phi = 1
-    for p, e in f.factors:
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
-

@@ -22,12 +22,21 @@ from itertools import chain
 from typing import Any, Callable, Iterable, Optional, TextIO, get_args, get_origin, get_type_hints
 
 from . import bounds, stats, values
+from .arith import PRIME_LIMIT_MAX
 from .genus import LEVEL_MAX, ConsistencyError, GenusBreakdown, genus as genus_breakdown, iter_blocks, scan
 
 TABLE_COLUMNS = ("n", "mu", "nu2", "nu3", "nu_inf", "genus")
 
-# subcommands whose --max is a level; the others take a genus value
-_LEVEL_RANGE_COMMANDS = ("table", "parity", "bounds", "average", "histogram")
+# the flag that names a subcommand's largest level, and its ceiling; parity
+# lists every prime up to --max (missed's --max is a genus value, not a level)
+_LEVEL_FLAGS = {
+    "table": ("max", LEVEL_MAX),
+    "parity": ("max", PRIME_LIMIT_MAX),
+    "bounds": ("max", LEVEL_MAX),
+    "average": ("max", LEVEL_MAX),
+    "histogram": ("max", LEVEL_MAX),
+    "density": ("empirical_max", LEVEL_MAX),
+}
 
 _JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
@@ -264,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_missed)
 
     sp = sub.add_parser("parity", parents=[common], help="verify the six-family parity classification")
-    sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
+    sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {PRIME_LIMIT_MAX}")
     sp.set_defaults(func=_cmd_parity)
 
     sp = sub.add_parser("bounds", parents=[common], help="verify lower/upper bounds and equality cases")
@@ -277,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("density", parents=[common], help="density of g0(N) = 1 (mod ell)")
     sp.add_argument("--ell", type=int, required=True, help="odd prime")
-    sp.add_argument("--empirical-max", type=int, help="sample the levels up to here, >= 1")
+    sp.add_argument("--empirical-max", type=int,
+                    help=f"sample the levels up to here, 1 to {LEVEL_MAX}")
     sp.set_defaults(func=_cmd_density)
 
     sp = sub.add_parser("histogram", parents=[common], help="histogram of g0(N) mod ell")
@@ -299,14 +309,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     func: Callable[[argparse.Namespace, TextIO], None] = args.func
     try:
-        # every subcommand has --precision, the range scans --max
-        for flag in ("precision", "max"):
-            value = getattr(args, flag, 1)
-            if value < 1:
-                raise ValueError(f"--{flag} must be >= 1, got {value}")
+        # every subcommand has --precision, the range scans --max, density
+        # an optional --empirical-max
+        for flag in ("precision", "max", "empirical_max"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
         # refused before the output is opened: table writes its header before it sieves
-        if args.command in _LEVEL_RANGE_COMMANDS and args.max > LEVEL_MAX:
-            raise ValueError(f"levels stop at LEVEL_MAX = {LEVEL_MAX}, got --max {args.max}")
+        if args.command in _LEVEL_FLAGS:
+            flag, ceiling = _LEVEL_FLAGS[args.command]
+            value = getattr(args, flag)
+            if value is not None and value > ceiling:
+                raise ValueError(f"--{flag.replace('_', '-')} stops at {ceiling}, got {value}")
         if args.output is None:
             func(args, sys.stdout)
             sys.stdout.flush()

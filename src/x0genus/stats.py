@@ -55,8 +55,9 @@ DENSITY_BOUND_TABLE = {
 DEFAULT_PRIME_LIMIT = 10**7
 DEFAULT_DIRICHLET_TERMS = 10**6
 
-# residue_histogram keeps ell counts per block and walks the powers of 2 mod
-# ell, so it refuses a larger ell; 2**20 counts take 8 MB
+# residue_histogram keeps ell counts per block and flagged_residue_classes
+# stores up to ell - 1 classes, so both refuse a larger ell; 2**20 counts
+# take 8 MB
 HISTOGRAM_ELL_MAX = 2**20
 
 # mu(N)/N = prod_{p | N} (1 + 1/p) first reaches 4 when N has the eleven
@@ -82,6 +83,12 @@ def _require_odd_prime(ell: int) -> None:
     f = factorize(ell)
     if f.factors != ((ell, 1),):
         raise ValueError(f"ell must be an odd prime, got {ell}")
+
+
+def _require_histogram_ell(ell: int) -> None:
+    _require_odd_prime(ell)
+    if ell > HISTOGRAM_ELL_MAX:
+        raise ValueError(f"histograms take ell <= {HISTOGRAM_ELL_MAX}, got {ell}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +340,10 @@ def flagged_residue_classes(ell: int) -> tuple[int, ...]:
     """The classes {1 - 2^k mod ell}, enriched when N is squarefree.
 
     For squarefree N the cusp count is a power of two, so g0(N) lands in
-    one of these classes.
+    one of these classes.  The walk keeps up to ell - 1 of them, so ell
+    stops at HISTOGRAM_ELL_MAX.
     """
-    _require_odd_prime(ell)
+    _require_histogram_ell(ell)
     classes = set()
     v = 1
     while True:
@@ -347,11 +355,13 @@ def flagged_residue_classes(ell: int) -> tuple[int, ...]:
 
 
 def two_is_primitive_root(ell: int) -> bool:
-    """Whether 2 generates the full multiplicative group mod ell.
+    """Whether 2 generates the full multiplicative group mod the odd prime ell.
 
-    The classes 1 - 2^k are as many as the powers of 2 mod ell.
+    The order of 2 divides ell - 1, so it is ell - 1 exactly when
+    2^((ell-1)/q) != 1 for every prime q dividing ell - 1.
     """
-    return len(flagged_residue_classes(ell)) == ell - 1
+    _require_odd_prime(ell)
+    return all(pow(2, (ell - 1) // q, ell) != 1 for q in factorize(ell - 1).primes)
 
 
 @dataclass(frozen=True)
@@ -374,9 +384,7 @@ class ResidueHistogram:
 
 def residue_histogram(ell: int, bound: int) -> ResidueHistogram:
     """Histogram of g0(N) mod ell over all levels N <= bound, for ell <= HISTOGRAM_ELL_MAX."""
-    _require_odd_prime(ell)
-    if ell > HISTOGRAM_ELL_MAX:
-        raise ValueError(f"histograms take ell <= {HISTOGRAM_ELL_MAX}, got {ell}")
+    _require_histogram_ell(ell)
     counts = _genus_residue_counts(ell, bound)
     flagged = flagged_residue_classes(ell)
     primitive = two_is_primitive_root(ell)

@@ -12,8 +12,8 @@ sieve that primes_up_to used before it sieved odd numbers in blocks.
 
 Also here: the exhaustive residue scans and the divisor-sum cusp count for
 single levels, a smallest-prime-factor table with the scalar closed forms
-over it, a totient sieve, and genus_table, which joins the blocks of
-[1, limit] into one.
+over it, the totient of one factorization and a totient sieve, and
+genus_table, which joins the blocks of [1, limit] into one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from x0genus.arith import Factorization, euler_phi, factorize, primes_up_to
+from x0genus.arith import Factorization, factorize, primes_up_to
 from x0genus.genus import (
     GenusBlock,
     GenusBreakdown,
@@ -352,6 +352,14 @@ def primes_up_to_dense(limit: int) -> np.ndarray:
                 composite[p * p :: p] = True
         primes = np.nonzero(~composite)[0].astype(np.int64)
     return primes
+
+
+def euler_phi(f: Factorization) -> int:
+    """Euler's totient from a factorization: prod p**(e-1) * (p-1)."""
+    phi = 1
+    for p, e in f.factors:
+        phi *= p ** (e - 1) * (p - 1)
+    return phi
 
 
 def phi_table(limit: int) -> np.ndarray:

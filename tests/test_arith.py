@@ -15,9 +15,9 @@ from x0genus import arith
 from x0genus.arith import (
     FACTOR_LIMIT,
     PRIME_BLOCK,
+    PRIME_LIMIT_MAX,
     PROGRESSION_CHUNK,
     Factorization,
-    euler_phi,
     factorize,
     multiples,
     primes_in_progression,
@@ -25,6 +25,7 @@ from x0genus.arith import (
 )
 from oracles import (
     build_spf_table,
+    euler_phi,
     factor_dumb,
     factorize_trial,
     phi_table,
@@ -161,6 +162,18 @@ def test_primes_up_to_small():
     assert primes_up_to(1).tolist() == []
     assert primes_up_to(2).tolist() == [2]
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_primes_up_to_refuses_above_its_ceiling(monkeypatch):
+    def must_not_run(limit):
+        raise AssertionError("sieved before the refusal")
+
+    monkeypatch.setattr(arith, "_sieve", must_not_run)
+    for limit in (PRIME_LIMIT_MAX + 1, 10**12, 10**16):
+        with pytest.raises(ValueError, match="PRIME_LIMIT_MAX"):
+            primes_up_to(limit)
+        with pytest.raises(ValueError, match="PRIME_LIMIT_MAX"):
+            primes_in_progression(4, 3, limit)
 
 
 def test_primes_up_to_is_read_only():

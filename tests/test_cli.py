@@ -379,3 +379,34 @@ def test_dirichlet_at_and_above_the_s_ceiling():
         assert code == 1, s
         assert err.startswith("error:") and "1 < s <= 1000000000000000" in err, err
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--max", str(10**16 + 1)],
+        ["bounds", "--max", str(10**16 + 1)],
+        ["average", "--max", str(10**16 + 1)],
+        ["histogram", "--ell", "7", "--max", str(10**16 + 1)],
+        # parity lists every prime up to --max, which stop at PRIME_LIMIT_MAX
+        ["parity", "--max", str(10**9 + 1)],
+        ["parity", "--max", str(10**12)],
+        ["parity", "--max", str(10**16)],
+        ["density", "--ell", "7", "--empirical-max", str(10**16 + 1)],
+    ],
+)
+def test_level_ceilings_refused_before_output(argv, tmp_path):
+    target = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "x0genus", *argv, "--output", str(target)],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not target.exists()

@@ -7,6 +7,7 @@ from math import inf, isfinite, log, nextafter, pi
 import numpy as np
 import pytest
 import scipy.special
+import sympy
 
 from x0genus import stats
 from x0genus.arith import primes_in_progression, primes_up_to
@@ -257,7 +258,7 @@ def test_flagged_classes():
     assert flagged_residue_classes(3) == (0, 2)
     assert flagged_residue_classes(5) == (0, 2, 3, 4)
     assert flagged_residue_classes(7) == (0, 4, 6)
-    for ell in (3, 5, 7, 11, 13, 17, 19, 23):
+    for ell in primes_up_to(3000)[1:].tolist():  # every odd prime below 3000
         flagged = flagged_residue_classes(ell)
         assert 1 not in flagged  # 1 - 2^k is never 1 mod ell
         order = 1
@@ -266,7 +267,7 @@ def test_flagged_classes():
             v = v * 2 % ell
             order += 1
         assert len(flagged) == order
-        assert two_is_primitive_root(ell) == (order == ell - 1)
+        assert two_is_primitive_root(ell) == (order == ell - 1), ell
 
 
 def test_two_primitive_root_values():
@@ -277,6 +278,23 @@ def test_two_primitive_root_values():
     assert two_is_primitive_root(13)
     assert not two_is_primitive_root(17)
     assert not two_is_primitive_root(23)
+    # the order test reads no residue classes, so it answers far above the walk's ceiling
+    pinned = {1048573: True, 10**9 + 7: False, 2**61 - 1: False, 2**64 - 59: True}
+    for ell, expected in pinned.items():
+        assert two_is_primitive_root(ell) is expected, ell
+        assert sympy.is_primitive_root(2, ell) is expected, ell
+    for n in (1, 9, 2**64 - 1):
+        with pytest.raises(ValueError, match="odd prime"):
+            two_is_primitive_root(n)
+    with pytest.raises(ValueError):
+        two_is_primitive_root(2)
+
+
+def test_flagged_classes_refuse_above_the_ceiling():
+    with pytest.raises(ValueError, match="ell <="):
+        flagged_residue_classes(10**9 + 7)
+    with pytest.raises(ValueError, match="ell <="):
+        flagged_residue_classes(1048583)  # the first prime above 2**20
 
 
 def test_histogram_small():
