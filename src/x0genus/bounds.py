@@ -32,7 +32,6 @@ import numpy as np
 from .arith import factorize, primes_up_to
 from .genus import GenusBlock, breakdown_from_factorization, scan
 
-EULER_GAMMA = 0.5772156649015329
 EXP_EULER_GAMMA = 1.7810724179901979
 # e**gamma / (2*pi**2) = 0.0902276...
 UPPER_BOUND_COEFF = EXP_EULER_GAMMA / (2 * math.pi**2)

@@ -27,17 +27,6 @@ from .genus import LEVEL_MAX, ConsistencyError, GenusBreakdown, genus as genus_b
 
 TABLE_COLUMNS = ("n", "mu", "nu2", "nu3", "nu_inf", "genus")
 
-# the flag that names a subcommand's largest level, and its ceiling; parity
-# lists every prime up to --max (missed's --max is a genus value, not a level)
-_LEVEL_FLAGS = {
-    "table": ("max", LEVEL_MAX),
-    "parity": ("max", PRIME_LIMIT_MAX),
-    "bounds": ("max", LEVEL_MAX),
-    "average": ("max", LEVEL_MAX),
-    "histogram": ("max", LEVEL_MAX),
-    "density": ("empirical_max", LEVEL_MAX),
-}
-
 _JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
 
@@ -163,11 +152,12 @@ _TABLE_LAYOUT = {
 
 def _cmd_table(args: argparse.Namespace, out: TextIO) -> None:
     header, row, sep, trailer = _TABLE_LAYOUT[args.format]
-    out.write(header.replace("%d", str(args.max)))
+    header = header.replace("%d", str(args.max))
     for blk in iter_blocks(1, args.max):
         rows = zip(range(blk.lo, blk.hi + 1), blk.mu.tolist(), blk.nu2.tolist(),
                    blk.nu3.tolist(), blk.nu_inf.tolist(), blk.genus.tolist())
-        out.write((sep if blk.lo > 1 else "") + sep.join(map(row.__mod__, rows)))
+        # the header goes out with the first block, after iter_blocks checks --max
+        out.write((sep if blk.lo > 1 else header) + sep.join(map(row.__mod__, rows)))
     out.write(trailer)
 
 
@@ -260,84 +250,92 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("genus", parents=[common], help="breakdown for a single level")
+    def add(name: str, func: Callable[[argparse.Namespace, TextIO], None], summary: str):
+        sp = sub.add_parser(name, parents=[common], help=summary)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = add("genus", _cmd_genus, "breakdown for a single level")
     sp.add_argument("n", type=int, help="level, 1 <= n < 2**64")
-    sp.set_defaults(func=_cmd_genus)
 
-    sp = sub.add_parser("table", parents=[common], help="breakdowns for all levels up to --max")
+    sp = add("table", _cmd_table, "breakdowns for all levels up to --max")
     sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
-    sp.set_defaults(func=_cmd_table)
 
-    sp = sub.add_parser("missed", parents=[common], help="positive integers <= --max never attained")
+    sp = add("missed", _cmd_missed, "positive integers <= --max never attained")
     sp.add_argument("--max", type=int, required=True, help="largest genus value, >= 1")
-    sp.set_defaults(func=_cmd_missed)
 
-    sp = sub.add_parser("parity", parents=[common], help="verify the six-family parity classification")
+    sp = add("parity", _cmd_parity, "verify the six-family parity classification")
     sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {PRIME_LIMIT_MAX}")
-    sp.set_defaults(func=_cmd_parity)
 
-    sp = sub.add_parser("bounds", parents=[common], help="verify lower/upper bounds and equality cases")
+    sp = add("bounds", _cmd_bounds, "verify lower/upper bounds and equality cases")
     sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
-    sp.set_defaults(func=_cmd_bounds)
 
-    sp = sub.add_parser("average", parents=[common], help="partial averages of the genus")
+    sp = add("average", _cmd_average, "partial averages of the genus")
     sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
-    sp.set_defaults(func=_cmd_average)
 
-    sp = sub.add_parser("density", parents=[common], help="density of g0(N) = 1 (mod ell)")
+    sp = add("density", _cmd_density, "density of g0(N) = 1 (mod ell)")
     sp.add_argument("--ell", type=int, required=True, help="odd prime")
     sp.add_argument("--empirical-max", type=int,
                     help=f"sample the levels up to here, 1 to {LEVEL_MAX}")
-    sp.set_defaults(func=_cmd_density)
 
-    sp = sub.add_parser("histogram", parents=[common], help="histogram of g0(N) mod ell")
+    sp = add("histogram", _cmd_histogram, "histogram of g0(N) mod ell")
     sp.add_argument("--ell", type=int, required=True, help=f"odd prime <= {stats.HISTOGRAM_ELL_MAX}")
     sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
-    sp.set_defaults(func=_cmd_histogram)
 
-    sp = sub.add_parser("constants", parents=[common], help="growth constants a0, b, c")
-    sp.set_defaults(func=_cmd_constants)
+    add("constants", _cmd_constants, "growth constants a0, b, c")
 
-    sp = sub.add_parser("dirichlet", parents=[common], help="partial F(s) against the zeta product")
+    sp = add("dirichlet", _cmd_dirichlet, "partial F(s) against the zeta product")
     sp.add_argument("--s", type=float, required=True, help=f"1 < s <= {stats.S_MAX:g}")
-    sp.set_defaults(func=_cmd_dirichlet)
 
     return p
 
 
+class _OutputFile:
+    """The --output file, opened at the first write: a refused command leaves none."""
+
+    def __init__(self, path: str) -> None:
+        self.path, self.file = path, None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w", encoding="utf-8", newline="")
+        return self.file.write(text)
+
+    def flush(self) -> None:  # a command that wrote nothing still leaves an empty file
+        self.write("")
+        self.file.flush()
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    func: Callable[[argparse.Namespace, TextIO], None] = args.func
+    out = sys.stdout if args.output is None else _OutputFile(args.output)
     try:
-        # every subcommand has --precision, the range scans --max, density
-        # an optional --empirical-max
+        # every subcommand has --precision, the range scans --max, density an
+        # optional --empirical-max; the scans take a --max below 1 as no levels
         for flag in ("precision", "max", "empirical_max"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
-        # refused before the output is opened: table writes its header before it sieves
-        if args.command in _LEVEL_FLAGS:
-            flag, ceiling = _LEVEL_FLAGS[args.command]
-            value = getattr(args, flag)
-            if value is not None and value > ceiling:
-                raise ValueError(f"--{flag.replace('_', '-')} stops at {ceiling}, got {value}")
-        if args.output is None:
-            func(args, sys.stdout)
-            sys.stdout.flush()
-        else:
-            with open(args.output, "w", encoding="utf-8", newline="") as out:
-                func(args, out)
+        args.func(args, out)
+        out.flush()
     except BrokenPipeError:
         # the reader is gone; send what is left to devnull so the final
         # flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # OSError: an --output path that cannot be opened
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ConsistencyError as e:
         print(f"internal consistency fault: {e}", file=sys.stderr)
         return 3
+    finally:
+        if out is not sys.stdout:
+            out.close()
     return 0
 
 

@@ -60,6 +60,9 @@ DEFAULT_DIRICHLET_TERMS = 10**6
 # take 8 MB
 HISTOGRAM_ELL_MAX = 2**20
 
+# squarefree_fraction keeps one flag per level: 10**9 of them take 1 GB
+SQUAREFREE_MAX = 10**9
+
 # mu(N)/N = prod_{p | N} (1 + 1/p) first reaches 4 when N has the eleven
 # primes up to 31, so mu/N < 4 for every N below their product
 MU_RATIO_BELOW_FOUR_LIMIT = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31
@@ -336,32 +339,39 @@ def even_genus_frequency(bound: int) -> float:
     return int(_genus_residue_counts(2, bound)[0]) / bound
 
 
+def _order_of_two(ell: int) -> int:
+    """The multiplicative order of 2 mod the odd prime ell.
+
+    The order divides ell - 1; each prime q of ell - 1 is divided out of
+    it for as long as 2 to the smaller power is still 1.
+    """
+    order = ell - 1
+    for q in factorize(ell - 1).primes:
+        while order % q == 0 and pow(2, order // q, ell) == 1:
+            order //= q
+    return order
+
+
 def flagged_residue_classes(ell: int) -> tuple[int, ...]:
     """The classes {1 - 2^k mod ell}, enriched when N is squarefree.
 
     For squarefree N the cusp count is a power of two, so g0(N) lands in
-    one of these classes.  The walk keeps up to ell - 1 of them, so ell
-    stops at HISTOGRAM_ELL_MAX.
+    one of these classes, one per k below the order of 2.  The powers are
+    built by doubling a numpy array (products stay below ell^2 <= 2^40),
+    and there are up to ell - 1 of them, so ell stops at HISTOGRAM_ELL_MAX.
     """
     _require_histogram_ell(ell)
-    classes = set()
-    v = 1
-    while True:
-        classes.add((1 - v) % ell)
-        v = v * 2 % ell
-        if v == 1:
-            break
-    return tuple(sorted(classes))
+    order = _order_of_two(ell)
+    pw = np.ones(1, dtype=np.int64)
+    while pw.size < order:
+        pw = np.concatenate((pw, pw * pow(2, pw.size, ell) % ell))
+    return tuple(np.sort((1 - pw[:order]) % ell).tolist())
 
 
 def two_is_primitive_root(ell: int) -> bool:
-    """Whether 2 generates the full multiplicative group mod the odd prime ell.
-
-    The order of 2 divides ell - 1, so it is ell - 1 exactly when
-    2^((ell-1)/q) != 1 for every prime q dividing ell - 1.
-    """
+    """Whether 2 generates the full multiplicative group mod the odd prime ell."""
     _require_odd_prime(ell)
-    return all(pow(2, (ell - 1) // q, ell) != 1 for q in factorize(ell - 1).primes)
+    return _order_of_two(ell) == ell - 1
 
 
 @dataclass(frozen=True)
@@ -387,7 +397,7 @@ def residue_histogram(ell: int, bound: int) -> ResidueHistogram:
     _require_histogram_ell(ell)
     counts = _genus_residue_counts(ell, bound)
     flagged = flagged_residue_classes(ell)
-    primitive = two_is_primitive_root(ell)
+    primitive = len(flagged) == ell - 1  # one class per power of 2 below its order
     enrichment = None
     if not primitive:
         enrichment = bool(counts[list(flagged)].min() > np.delete(counts, flagged).max())
@@ -427,9 +437,12 @@ def restricted_congruence_check(ell: int, bound: int) -> list[int]:
 
 
 def squarefree_fraction(bound: int) -> float:
-    """Fraction of levels N <= bound free of square factors (target 6/pi^2)."""
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
+    """Fraction of levels N <= bound free of square factors (target 6/pi^2).
+
+    bound stops at SQUAREFREE_MAX, refused before anything is allocated.
+    """
+    if not 1 <= bound <= SQUAREFREE_MAX:
+        raise ValueError(f"need 1 <= bound <= SQUAREFREE_MAX = {SQUAREFREE_MAX}, got {bound}")
     squarefree = np.ones(bound + 1, dtype=bool)
     for p in primes_up_to(isqrt(bound)):
         p2 = int(p) * int(p)

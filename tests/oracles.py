@@ -11,9 +11,11 @@ used before Miller-Rabin and Pollard-Brent rho, and the whole-range bool
 sieve that primes_up_to used before it sieved odd numbers in blocks.
 
 Also here: the exhaustive residue scans and the divisor-sum cusp count for
-single levels, a smallest-prime-factor table with the scalar closed forms
-over it, the totient of one factorization and a totient sieve, and
-genus_table, which joins the blocks of [1, limit] into one.
+single levels, the walk over the powers of 2 that flagged_residue_classes
+made before it doubled numpy arrays, a smallest-prime-factor table with
+the scalar closed forms over it, the totient of one factorization and a
+totient sieve, and genus_table, which joins the blocks of [1, limit] into
+one.
 """
 
 from __future__ import annotations
@@ -271,6 +273,18 @@ def nu_infinity_brute(n: int, ceiling: int = DEFAULT_BRUTE_CEILING) -> int:
             if q != d:
                 total += euler_phi(factorize(gcd(q, d)))
     return total
+
+
+def flagged_residue_classes_walk(ell: int) -> tuple[int, ...]:
+    """The classes {1 - 2^k mod ell}, one Python step per power of 2."""
+    classes = set()
+    v = 1
+    while True:
+        classes.add((1 - v) % ell)
+        v = v * 2 % ell
+        if v == 1:
+            break
+    return tuple(sorted(classes))
 
 
 def _check_brute(n: int, ceiling: int, int64_limit: int | None = None) -> None:

@@ -381,6 +381,22 @@ def test_dirichlet_at_and_above_the_s_ceiling():
         assert out == ""
 
 
+def run_module(argv):
+    """Run `python -m x0genus argv` from this checkout; the finished process."""
+    return subprocess.run([sys.executable, "-m", "x0genus", *argv], capture_output=True,
+                          text=True, env=checkout_env(), timeout=60)
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+# each refusal runs twice: an existing --output file keeps its bytes, and a
+# new path is not created; the file is opened at the command's first byte
 @pytest.mark.parametrize(
     "argv",
     [
@@ -393,20 +409,36 @@ def test_dirichlet_at_and_above_the_s_ceiling():
         ["parity", "--max", str(10**12)],
         ["parity", "--max", str(10**16)],
         ["density", "--ell", "7", "--empirical-max", str(10**16 + 1)],
+        ["genus", "0"],
+        ["missed", "--max", "100000000"],  # beyond the scan capacity
+        ["histogram", "--ell", "1048583", "--max", "10"],  # first prime above 2**20
+        ["density", "--ell", "2"],
+        ["dirichlet", "--s", "1.0"],
     ],
 )
 def test_level_ceilings_refused_before_output(argv, tmp_path):
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"KEEP ME\n")
+    assert_one_error_line(run_module([*argv, "--output", str(kept)]))
+    assert kept.read_bytes() == b"KEEP ME\n"
     target = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "x0genus", *argv, "--output", str(target)],
-        capture_output=True,
-        text=True,
-        env=checkout_env(),
-        timeout=60,
-    )
-    assert proc.returncode == 1, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    assert_one_error_line(run_module([*argv, "--output", str(target)]))
     assert not target.exists()
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unopenable_output_is_an_error_line(where, tmp_path):
+    path = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
+    assert_one_error_line(run_module(["genus", "11", "--output", str(path)]))
+    assert not (tmp_path / "missing").exists()
+
+
+def test_command_that_prints_nothing_leaves_an_empty_file(tmp_path):
+    target = tmp_path / "out"
+    target.write_bytes(b"old\n")
+    code, out, err = run(["missed", "--max", "100", "--format", "plain", "--output", str(target)])
+    assert (code, out, err) == (0, "", "")  # no genus up to 100 is missed
+    assert target.read_bytes() == b""
+    target.unlink()
+    assert run(["missed", "--max", "100", "--output", str(target)])[0] == 0
+    assert target.read_bytes() == b""

@@ -1,8 +1,8 @@
 """Byte-for-byte CLI output: every subcommand in every format.
 
 Each case below runs in plain, csv and json, and its output must equal
-tests/golden/<case>.<format> exactly, and again when it is rendered twice
-in one process.  Every json golden also validates against its
+tests/golden/<case>.<format> exactly, again when it is rendered twice in
+one process, and again when it is written through --output.  Every json golden also validates against its
 subcommand's schema.
 
 To rewrite the files after an intended output change:
@@ -79,6 +79,14 @@ def test_output_matches_golden(case, fmt, runs):
     argv = CASES[case] + ["--format", fmt]
     for _ in range(runs or 1):
         assert render(argv).encode() == golden_path(case, fmt).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_file_matches_golden(case, fmt, tmp_path):
+    target = tmp_path / "out"
+    assert render(CASES[case] + ["--format", fmt, "--output", str(target)]) == ""
+    assert target.read_bytes() == golden_path(case, fmt).read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

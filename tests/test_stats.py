@@ -19,6 +19,7 @@ from x0genus.stats import (
     MU_RATIO_BELOW_FOUR_LIMIT,
     SQUAREFREE_DENSITY,
     S_MAX,
+    SQUAREFREE_MAX,
     _bisect,
     asymptotic_constants,
     average_partial,
@@ -39,7 +40,12 @@ from x0genus.stats import (
     zeta_with_error,
 )
 from x0genus.values import family_members
-from oracles import GROWTH_CONSTANT_DIGITS, genus_table, growth_constants_mp
+from oracles import (
+    GROWTH_CONSTANT_DIGITS,
+    flagged_residue_classes_walk,
+    genus_table,
+    growth_constants_mp,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +267,17 @@ def test_flagged_classes():
     for ell in primes_up_to(3000)[1:].tolist():  # every odd prime below 3000
         flagged = flagged_residue_classes(ell)
         assert 1 not in flagged  # 1 - 2^k is never 1 mod ell
-        order = 1
-        v = 2 % ell
-        while v != 1:
-            v = v * 2 % ell
-            order += 1
+        assert flagged == flagged_residue_classes_walk(ell), ell
+        # one class per power of 2 below its order
+        assert two_is_primitive_root(ell) == (len(flagged) == ell - 1), ell
+
+
+def test_flagged_classes_near_the_ceiling():
+    # 2 is a primitive root mod 1048573 but has order (ell - 1) / 2 mod 786433
+    for ell, order in ((1048573, 1048572), (786433, 393216)):
+        flagged = flagged_residue_classes(ell)
         assert len(flagged) == order
-        assert two_is_primitive_root(ell) == (order == ell - 1), ell
+        assert flagged == flagged_residue_classes_walk(ell), ell
 
 
 def test_two_primitive_root_values():
@@ -408,6 +418,15 @@ def test_squarefree_small():
     assert squarefree_fraction(10) == 0.7
     with pytest.raises(ValueError):
         squarefree_fraction(0)
+
+
+def test_squarefree_refuses_above_its_ceiling(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("allocated before the refusal")
+
+    monkeypatch.setattr(stats.np, "ones", must_not_run)
+    with pytest.raises(ValueError, match="SQUAREFREE_MAX"):
+        squarefree_fraction(SQUAREFREE_MAX + 1)
 
 
 def test_squarefree_regression_and_target():
