@@ -49,7 +49,6 @@ from .genus import (
     nu2,
     nu3,
     nu_infinity,
-    scan,
     theta,
 )
 from .stats import (
@@ -139,7 +138,6 @@ __all__ = [
     "residue_density_exact",
     "residue_histogram",
     "restricted_congruence_check",
-    "scan",
     "scan_limit_for",
     "squarefree_fraction",
     "theta",

@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .arith import factorize, primes_up_to
-from .genus import GenusBlock, breakdown_from_factorization, scan
+from .genus import GenusBlock, breakdown_from_factorization, iter_blocks
 
 EXP_EULER_GAMMA = 1.7810724179901979
 # e**gamma / (2*pi**2) = 0.0902276...
@@ -44,19 +44,12 @@ PRIMORIAL_MAX_X = 52
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Bound evaluation for one level (upper is undefined for n <= 2)."""
+    """A level flagged by bound_reports, which decides both verdicts once."""
 
     n: int
     genus: int
-    lower: float
-    upper: float | None
     lower_equality: bool
-
-    @property
-    def is_violation(self) -> bool:
-        violates_lower = not lower_bound_holds(self.n, self.genus)
-        violates_upper = self.upper is not None and self.genus >= self.upper
-        return violates_lower or violates_upper
+    is_violation: bool  # below the lower bound, or for n > 2 at or above the upper
 
 
 def lower_bound(n: int) -> float:
@@ -91,7 +84,7 @@ def upper_bound(n: int) -> float:
 
 def mu_over_12_bound_check(lo: int, hi: int) -> list[int]:
     """Levels in [lo, hi] with 12*g0(N) > mu(N).  Expected empty."""
-    return scan(lo, hi, mu_over_12_violations)[0]
+    return [n for blk in iter_blocks(lo, hi) for n in mu_over_12_violations(blk)]
 
 
 def check_bounds_range(lo: int, hi: int, threads: int = 1) -> list[BoundsReport]:
@@ -102,7 +95,7 @@ def check_bounds_range(lo: int, hi: int, threads: int = 1) -> list[BoundsReport]
     is ignored; it is kept only because the benchmark's deep-windows
     workload (perfbench/workloads.py) passes it.
     """
-    return scan(lo, hi, bound_reports)[0]
+    return [r for blk in iter_blocks(lo, hi) for r in bound_reports(blk)]
 
 
 def mu_over_12_violations(blk: GenusBlock) -> list[int]:
@@ -118,17 +111,15 @@ def bound_reports(blk: GenusBlock) -> list[BoundsReport]:
     # 3.04e9; clamped at a cap whose square exceeds 25*N on the whole block,
     # lhs compares the same and its square stays below 2.6e17
     lhs = np.minimum(n - 8 - 12 * g, 5 * math.isqrt(blk.hi) + 5)
-    lower_bad = (lhs > 0) & (lhs * lhs > 25 * n)
+    bad = (lhs > 0) & (lhs * lhs > 25 * n)  # below the lower bound
     equality = (lhs > 0) & (lhs * lhs == 25 * n)
-    upper_bad = np.zeros(len(blk), dtype=bool)
     big = n > 2
     if np.any(big):
         ll = np.log(np.log(n[big]))
-        upper_bad[big] = g[big] >= n[big] * UPPER_BOUND_COEFF * (ll + 2 / ll)
+        bad[big] |= g[big] >= n[big] * UPPER_BOUND_COEFF * (ll + 2 / ll)
     return [
-        BoundsReport(m, int(g[m - blk.lo]), lower_bound(m), upper_bound(m) if m > 2 else None,
-                     bool(equality[m - blk.lo]))
-        for m in blk.where(lower_bad | upper_bad | equality)
+        BoundsReport(m, int(g[m - blk.lo]), bool(equality[m - blk.lo]), bool(bad[m - blk.lo]))
+        for m in blk.where(bad | equality)
     ]
 
 

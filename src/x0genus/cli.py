@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Optional, TextIO, get_args, get_orig
 
 from . import bounds, stats, values
 from .arith import PRIME_LIMIT_MAX
-from .genus import LEVEL_MAX, ConsistencyError, GenusBreakdown, genus as genus_breakdown, iter_blocks, scan
+from .genus import LEVEL_MAX, ConsistencyError, GenusBreakdown, genus as genus_breakdown, iter_blocks
 
 TABLE_COLUMNS = ("n", "mu", "nu2", "nu3", "nu_inf", "genus")
 
@@ -178,7 +178,10 @@ def _cmd_parity(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> None:
-    reports, mu12 = scan(1, args.max, bounds.bound_reports, bounds.mu_over_12_violations)
+    reports, mu12 = [], []
+    for blk in iter_blocks(1, args.max):
+        reports += bounds.bound_reports(blk)
+        mu12 += bounds.mu_over_12_violations(blk)
     violations = [r.n for r in reports if r.is_violation]
     equality = [r.n for r in reports if r.lower_equality]
     expected = bounds.expected_equality_levels(1, args.max)

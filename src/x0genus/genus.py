@@ -22,14 +22,14 @@ how a prime power p**j changes mu, nu2, nu3 and nu_inf; the strided
 small-prime pass, the batched large-prime passes and the cofactor pass
 only list the levels it applies to.  iter_blocks cuts a range into
 fixed-size segments and sieves them one after another in the calling
-thread; scan feeds each block of one such pass to any number of reducers.
+thread; every whole-range check is one plain loop over such a pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -137,13 +137,12 @@ def nu_infinity(f: Factorization) -> int:
 
 
 def breakdown_from_factorization(f: Factorization) -> GenusBreakdown:
+    """The breakdown of f.n; GenusBreakdown raises if 12 does not divide the numerator."""
     m = mu(f)
     n2 = nu2(f)
     n3 = nu3(f)
     ni = nu_infinity(f)
     twelve_g = m - 3 * n2 - 4 * n3 - 6 * ni + 12
-    if twelve_g % 12:
-        raise ConsistencyError(f"12 does not divide genus numerator at n={f.n}")
     return GenusBreakdown(f.n, m, n2, n3, ni, twelve_g // 12)
 
 
@@ -315,15 +314,3 @@ def iter_blocks(lo: int, hi: int, threads: int = 1) -> Iterator[GenusBlock]:
     for a in range(lo, hi + 1, SEGMENT):
         yield breakdown_block(a, min(a + SEGMENT - 1, hi), primes)
 
-
-def scan(lo: int, hi: int, *reducers: Callable[[GenusBlock], list]) -> list[list]:
-    """Sieve [lo, hi] once and pass every block to each reducer.
-
-    A reducer maps a block to a list.  The result holds one list per
-    reducer, its lists joined in level order.
-    """
-    out: list[list] = [[] for _ in reducers]
-    for blk in iter_blocks(lo, hi):
-        for acc, reduce in zip(out, reducers):
-            acc.extend(reduce(blk))
-    return out

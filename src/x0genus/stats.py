@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import factorize, multiples, primes_in_progression, primes_up_to
-from .genus import LEVEL_MAX, ConsistencyError, GenusBlock, scan
+from .genus import LEVEL_MAX, ConsistencyError, GenusBlock, iter_blocks
 
 AVG_RATIO_TARGET = 5.0 / (4.0 * pi**2)  # limit of (1/B) sum g0(N)/N
 AVG_SUM_TARGET = 5.0 / (8.0 * pi**2)  # limit of (1/B^2) sum g0(N)
@@ -160,15 +160,15 @@ class AverageReport:
     target: float = AVG_RATIO_TARGET
 
 
-def block_genus_sum(blk: GenusBlock) -> list[int]:
-    """The exact sum of a block's genera, as a one-item list.
+def block_genus_sum(blk: GenusBlock) -> int:
+    """The exact sum of a block's genera.
 
     An int64 sum of a SEGMENT of genera wraps from about N = 5.5e14, so the
     high and low 32-bit halves are summed apart: below LEVEL_MAX each half
     sums to less than 2**50 over a block of up to 2**17 levels.
     """
     g = blk.genus
-    return [(int(np.sum(g >> 32)) << 32) + int(np.sum(g & 0xFFFFFFFF))]
+    return (int(np.sum(g >> 32)) << 32) + int(np.sum(g & 0xFFFFFFFF))
 
 
 def average_partial(bound: int) -> AverageReport:
@@ -179,12 +179,14 @@ def average_partial(bound: int) -> AverageReport:
     """
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
-    ratio_parts, genus_parts = scan(1, bound, lambda b: [float(np.sum(b.genus / b.levels))],
-                                    block_genus_sum)
+    ratio_parts, genus_sum = [], 0
+    for blk in iter_blocks(1, bound):
+        ratio_parts.append(float(np.sum(blk.genus / blk.levels)))
+        genus_sum += block_genus_sum(blk)
     return AverageReport(
         bound=bound,
         avg_ratio=fsum(ratio_parts) / bound,
-        avg_genus_over_b=sum(genus_parts) / bound**2,
+        avg_genus_over_b=genus_sum / bound**2,
     )
 
 
@@ -196,8 +198,7 @@ def dirichlet_F(s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS) -> float:
     _require_s(s, "F (pole at s = 1)")
     if n_terms < 1:
         raise ValueError(f"need n_terms >= 1, got {n_terms}")
-    parts = scan(1, n_terms, lambda b: [float(np.sum(b.mu * b.levels ** (-s - 1.0)))])
-    return fsum(parts[0])
+    return fsum(float(np.sum(b.mu * b.levels ** (-s - 1.0))) for b in iter_blocks(1, n_terms))
 
 
 def dirichlet_tail_bound(s: float, n_terms: int) -> float:
@@ -279,15 +280,19 @@ def residue_density_exact(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> R
     """P(ell) from the Euler product truncated at prime_limit.
 
     The dropped factors multiply to at least 1 - sum 1/(s^2+s) over the
-    dropped primes.  Those all lie in one residue class mod ell, so the
-    sum is at most 1/(ell*prime_limit) + 1/prime_limit^2 (integral bound
-    over the progression; crudely at most 1/prime_limit).  That is the
-    truncation_error, and it matters: the certified table bound for
-    ell = 23 is only about 2e-8 above the true density.
+    dropped primes s, so the true P(ell) exceeds exact_value by at most
+    that sum.  With L = prime_limit, the first dropped prime exceeds L and
+    adds less than 1/L^2.  The later ones lie in its residue class mod
+    ell, so the k-th of them is at least L + k*ell, and they add at most
+    sum_{k >= 1} 1/(L + k*ell)^2 <= integral_0^inf dx/(L + x*ell)^2
+    = 1/(ell*L).  So truncation_error = 1/(ell*L) + 1/L^2 holds for every
+    L >= 1 and every ell; a limit below 2, which lists no prime, is
+    refused.  The error matters: the certified table bound for ell = 23 is
+    only about 2e-8 above the true density.
     """
     _require_odd_prime(ell)
-    if prime_limit < 2 * ell:
-        raise ValueError(f"need prime_limit >= 2*ell = {2 * ell}, got {prime_limit}")
+    if prime_limit < 2:
+        raise ValueError(f"need prime_limit >= 2, got {prime_limit}")
     s = primes_in_progression(ell, ell - 1, prime_limit).astype(np.float64)
     product = float(np.prod(1.0 - 1.0 / (s * s + s)))
     exact = 1.0 - (1.0 - float(ell) ** -3) * product
@@ -309,14 +314,8 @@ def _genus_residue_counts(m: int, bound: int) -> np.ndarray:
     """Number of levels N <= bound with g0(N) = r (mod m), for each r < m."""
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
-    counts = np.zeros(m, dtype=np.int64)
-
-    def add(blk):
-        counts[:] += np.bincount(blk.genus % m, minlength=m)
-        return []
-
-    scan(1, bound, add)
-    return counts
+    return sum((np.bincount(b.genus % m, minlength=m) for b in iter_blocks(1, bound)),
+               np.zeros(m, dtype=np.int64))
 
 
 def residue_density_empirical(ell: int, bound: int) -> float:
@@ -330,8 +329,7 @@ def residue_density_empirical(ell: int, bound: int) -> float:
     # g0(N) < N <= LEVEL_MAX, so for a larger ell the int64 reduction mod
     # LEVEL_MAX leaves every genus as reduction mod ell would
     m = min(ell, LEVEL_MAX)
-    hits = scan(1, bound, lambda b: [int(np.count_nonzero(b.genus % m == 1))])
-    return sum(hits[0]) / bound
+    return sum(int(np.count_nonzero(b.genus % m == 1)) for b in iter_blocks(1, bound)) / bound
 
 
 def even_genus_frequency(bound: int) -> float:
@@ -433,7 +431,7 @@ def restricted_congruence_check(ell: int, bound: int) -> list[int]:
             raise ConsistencyError("odd cusp count on a level with a factor = -1 mod 12*ell")
         return blk.where(sel & ((blk.genus - 1 + blk.nu_inf // 2) % m != 0))
 
-    return scan(1, bound, violations)[0]
+    return [n for blk in iter_blocks(1, bound) for n in violations(blk)]
 
 
 def squarefree_fraction(bound: int) -> float:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import factorize, multiples, primes_up_to
-from .genus import iter_blocks, scan
+from .genus import iter_blocks
 
 # attained_genera refuses scans past this many levels (time, not memory)
 DEFAULT_SCAN_CAPACITY = 3 * 10**8
@@ -185,8 +185,8 @@ def verify_parity_classification(limit: int) -> list[int]:
     if limit < 1:
         raise ValueError(f"need limit >= 1, got {limit}")
     primes = primes_up_to(limit)
-    return scan(1, limit,
-                lambda b: b.where((b.genus % 2 == 0) != family_members(b.lo, b.hi, primes)))[0]
+    return [n for b in iter_blocks(1, limit)
+            for n in b.where((b.genus % 2 == 0) != family_members(b.lo, b.hi, primes))]
 
 
 def odd_prime_counts(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
@@ -213,7 +213,7 @@ def power_of_two_congruence_check(limit: int) -> list[int]:
         modulus_mask = (np.int64(1) << np.maximum(s - 2, 0)) - 1
         return blk.where((s > 2) & (((blk.genus - 1) & modulus_mask) != 0))
 
-    return scan(1, limit, violations)[0]
+    return [n for blk in iter_blocks(1, limit) for n in violations(blk)]
 
 
 def even_attained_count(x: int) -> tuple[int, float]:

@@ -10,7 +10,6 @@ from x0genus.arith import factorize
 from x0genus.bounds import (
     MERTENS_COEFF,
     UPPER_BOUND_COEFF,
-    BoundsReport,
     bound_reports,
     check_bounds_range,
     expected_equality_levels,
@@ -75,11 +74,14 @@ def test_mu_over_12_check_empty(genus_1e6):
     assert np.all(12 * genus_1e6.genus <= genus_1e6.mu)
 
 
-def test_violation_report_logic():
-    r = BoundsReport(n=100, genus=7, lower=lower_bound(100), upper=upper_bound(100), lower_equality=False)
-    assert not r.is_violation  # g0(100) = 7 clears the lower bound 3.5
-    fake = BoundsReport(n=1000, genus=0, lower=lower_bound(1000), upper=upper_bound(1000), lower_equality=False)
-    assert fake.is_violation  # genus 0 sits far below the lower bound at 1000
+@pytest.mark.parametrize("lo", [10**6, 10**12])
+def test_planted_upper_bound_violation_is_reported(lo):
+    blk = breakdown_block(lo, lo + 1023)
+    n = lo + 500
+    genera = blk.genus.copy()
+    genera[n - lo] = math.ceil(upper_bound(n))
+    reports = bound_reports(replace(blk, genus=genera))
+    assert [(r.n, r.is_violation, r.lower_equality) for r in reports] == [(n, True, False)]
 
 
 @pytest.mark.parametrize("lo", [10**9, 4 * 10**9, 10**12, 10**16 - 2**17])

@@ -15,12 +15,16 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import x0genus
+from x0genus import bounds, stats, values
 from x0genus.arith import Factorization
 from x0genus.cli import SCHEMAS, main
 from x0genus.genus import SEGMENT, breakdown_from_factorization, genus
 from x0genus.stats import S_MAX, flagged_residue_classes
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+cli_module = importlib.import_module("x0genus.cli")
+genus_module = importlib.import_module("x0genus.genus")
 
 
 def checkout_env():
@@ -157,6 +161,14 @@ def test_density_without_empirical():
     assert payload["sample_bound"] is None
 
 
+@pytest.mark.parametrize("ell", [10000019, 2**64 - 59])
+def test_density_at_primes_above_the_prime_limit(ell):
+    # the primes = -1 (mod ell) start above the default prime_limit of 10**7
+    payload = run_json(["density", "--ell", str(ell)])
+    jsonschema.validate(payload, SCHEMAS["density"])
+    assert (payload["ell"], payload["prime_limit"]) == (ell, 10**7)
+
+
 def test_histogram_json_schema():
     payload = run_json(["histogram", "--ell", "7", "--max", "1000"])
     jsonschema.validate(payload, SCHEMAS["histogram"])
@@ -263,6 +275,17 @@ def test_usage_errors_exit_2():
         assert exc.value.code == 2
 
 
+def test_consistency_fault_exits_3(monkeypatch):
+    # one cusp too many at every prime power breaks the genus identity
+    theta = genus_module.theta
+    monkeypatch.setattr(genus_module, "theta", lambda p, r: theta(p, r) + 1)
+    for argv in (["genus", "11"], ["table", "--max", "100"]):
+        code, out, err = run(argv)
+        assert code == 3, argv
+        assert err.startswith("internal consistency fault:") and err.count("\n") == 1, err
+        assert out == ""
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "x0genus", "genus", "11"],
@@ -295,7 +318,7 @@ def test_package_starts_no_threads():
         "from x0genus.genus import SEGMENT\n"
         "assert 'concurrent.futures' not in sys.modules\n"
         "before = threading.active_count()\n"
-        "seen = x0genus.scan(1, 3 * SEGMENT, lambda b: [threading.active_count()])[0]\n"
+        "seen = [threading.active_count() for _ in x0genus.iter_blocks(1, 3 * SEGMENT)]\n"
         "assert seen == [before] * 3, (before, seen)\n"
         "assert threading.active_count() == before\n"
         "assert 'concurrent.futures' not in sys.modules\n"
@@ -352,8 +375,37 @@ def test_table_rows_across_a_segment_cut(fmt, tmp_path):
         assert rows[n - 1] == [b.n, b.mu, b.nu2, b.nu3, b.nu_inf, b.genus]
 
 
-def test_bounds_sieves_the_range_once(monkeypatch):
-    genus_module = importlib.import_module("x0genus.genus")
+def _run_bounds_command():
+    code, out, err = run(["bounds", "--max", "140000"])
+    assert code == 0, err
+    assert "ok=true" in out.splitlines()
+
+
+H = SEGMENT + 100  # two blocks
+# (whole-range function, the range its one iter_blocks pass must cover)
+ONE_PASS = {
+    "cli-bounds": (_run_bounds_command, (1, 140000)),
+    "check_bounds_range": (lambda: bounds.check_bounds_range(5, H), (5, H)),
+    "mu_over_12_bound_check": (lambda: bounds.mu_over_12_bound_check(5, H), (5, H)),
+    "attained_genera": (lambda: values.attained_genera(1000), (1, values.scan_limit_for(1000))),
+    "missed_values": (lambda: values.missed_values(1000), (1, values.scan_limit_for(1000))),
+    "even_attained_count": (lambda: values.even_attained_count(1000),
+                            (1, values.scan_limit_for(1000))),
+    "verify_parity_classification": (lambda: values.verify_parity_classification(H), (1, H)),
+    "power_of_two_congruence_check": (lambda: values.power_of_two_congruence_check(H), (1, H)),
+    "average_partial": (lambda: stats.average_partial(H), (1, H)),
+    "dirichlet_F": (lambda: stats.dirichlet_F(2.0, H), (1, H)),
+    "zeta_identity_check": (lambda: stats.zeta_identity_check(2.0, H), (1, H)),
+    "residue_density_empirical": (lambda: stats.residue_density_empirical(7, H), (1, H)),
+    "even_genus_frequency": (lambda: stats.even_genus_frequency(H), (1, H)),
+    "residue_histogram": (lambda: stats.residue_histogram(7, H), (1, H)),
+    "restricted_congruence_check": (lambda: stats.restricted_congruence_check(3, H), (1, H)),
+}
+
+
+@pytest.mark.parametrize("name", ONE_PASS)
+def test_whole_range_scan_sieves_once(monkeypatch, name):
+    # wrap iter_blocks wherever a module holds it by name, as perfbench does
     original = genus_module.iter_blocks
     passes = []
 
@@ -361,11 +413,13 @@ def test_bounds_sieves_the_range_once(monkeypatch):
         passes.append((lo, hi))
         return original(lo, hi, *args, **kwargs)
 
-    monkeypatch.setattr(genus_module, "iter_blocks", counting)
-    code, out, err = run(["bounds", "--max", "140000"])
-    assert code == 0, err
-    assert "ok=true" in out.splitlines()
-    assert passes == [(1, 140000)]
+    for module in (x0genus, genus_module, bounds, values, stats, cli_module):
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counting)
+    call, span = ONE_PASS[name]
+    call()
+    assert passes == [span]
 
 
 def test_dirichlet_at_and_above_the_s_ceiling():

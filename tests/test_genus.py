@@ -18,6 +18,7 @@ from x0genus.genus import (
     LEVEL_MAX,
     SEGMENT,
     SMALL_PRIME_LIMIT,
+    ConsistencyError,
     GenusBreakdown,
     breakdown_block,
     breakdown_from_factorization,
@@ -27,7 +28,6 @@ from x0genus.genus import (
     nu2,
     nu3,
     nu_infinity,
-    scan,
     theta,
 )
 import oracles
@@ -172,8 +172,16 @@ def test_levels_above_level_max_refused(monkeypatch):
     monkeypatch.setattr(genus_module, "primes_up_to", no_sieve)
     with pytest.raises(ValueError, match="LEVEL_MAX"):
         next(iter_blocks(LEVEL_MAX - 10, LEVEL_MAX + 1))
-    with pytest.raises(ValueError, match="LEVEL_MAX"):
-        scan(1, 10 * LEVEL_MAX, lambda blk: [])
+
+
+def test_planted_cusp_fault_raises_consistency_error(monkeypatch):
+    # one cusp too many at every prime power breaks 12 | mu - 3nu2 - 4nu3 - 6nu_inf
+    # (at n = 11: 12 - 6*3 + 12 = 6), on the scalar route and in the block sieve
+    monkeypatch.setattr(genus_module, "theta", lambda p, r: theta(p, r) + 1)
+    with pytest.raises(ConsistencyError):
+        genus(11)
+    with pytest.raises(ConsistencyError):
+        breakdown_block(1, 100)
 
 
 def test_block_refuses_primes_short_of_sqrt_hi():
@@ -323,26 +331,6 @@ def test_blocks_match_independent_factorization(lo, width, data):
         blk = blocks[off // SEGMENT]
         f = Factorization(n, tuple(sorted(sympy.factorint(n).items())))
         assert blk.breakdown(n) == breakdown_from_factorization(f)
-
-
-def test_scan_feeds_every_reducer_from_one_pass():
-    hi = 2 * SEGMENT + 500
-
-    def evens(blk):
-        return blk.where(blk.genus % 2 == 0)
-
-    def sums(blk):
-        return [int(blk.genus.sum())]
-
-    table = genus_table(hi)
-    want_evens = (np.nonzero(table.genus % 2 == 0)[0] + 1).tolist()
-    want_sums = [int(table.genus[a : a + SEGMENT].sum()) for a in range(0, hi, SEGMENT)]
-    assert len(want_sums) == 3
-    both = scan(1, hi, evens, sums)
-    alone = [scan(1, hi, evens)[0], scan(1, hi, sums)[0]]
-    assert both == alone == [want_evens, want_sums]
-    assert all(type(n) is int for n in both[0])
-    assert scan(5, 4, evens, sums) == [[], []]
 
 
 def test_package_genus_is_the_function_and_the_module_stays_reachable():

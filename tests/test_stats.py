@@ -125,7 +125,7 @@ def test_block_genus_sum_is_exact_near_level_max(lo):
     blk = breakdown_block(lo, lo + SEGMENT - 1)
     exact = sum(blk.genus.tolist())
     assert exact >= 2**63  # an int64 sum would wrap
-    assert block_genus_sum(blk) == [exact]
+    assert block_genus_sum(blk) == exact
 
 
 def test_average_targets():
@@ -215,8 +215,18 @@ def test_density_rejects_bad_ell():
     for bad in (2, 1, 9, 15):
         with pytest.raises(ValueError):
             residue_density_exact(bad, 10**4)
-    with pytest.raises(ValueError):
-        residue_density_exact(7, 10)  # prime_limit below 2*ell
+    for limit in (1, 0):  # no prime up to the limit
+        with pytest.raises(ValueError, match="prime_limit >= 2"):
+            residue_density_exact(7, limit)
+
+
+@pytest.mark.parametrize("ell", [7, 13, 23])
+def test_density_certificate_holds_at_small_limits(ell):
+    # the truncation bound needs no relation between ell and the limit
+    deep = residue_density_exact(ell, 10**8).exact_value
+    for limit in (10, 2 * ell - 1):
+        d = residue_density_exact(ell, limit)
+        assert d.exact_value + d.truncation_error >= deep, limit
 
 
 def test_density_hand_computation():
@@ -391,13 +401,12 @@ def test_restricted_congruence_clean():
 def test_restricted_congruence_selects_the_restricted_levels(monkeypatch):
     # with every genus shifted by one, each restricted level breaks the
     # congruence mod 3, so the check returns exactly those levels
-    real_scan = stats.scan
+    real_iter_blocks = stats.iter_blocks
 
-    def shifted_scan(lo, hi, *reducers):
-        shifted = [lambda b, r=r: r(replace(b, genus=b.genus + 1)) for r in reducers]
-        return real_scan(lo, hi, *shifted)
+    def shifted_blocks(lo, hi):
+        return (replace(b, genus=b.genus + 1) for b in real_iter_blocks(lo, hi))
 
-    monkeypatch.setattr(stats, "scan", shifted_scan)
+    monkeypatch.setattr(stats, "iter_blocks", shifted_blocks)
     bound = SEGMENT + 5000
     qs = primes_in_progression(36, 35, bound).tolist()
     expected = sorted({n for q in qs for n in range(q, bound + 1, q)})
