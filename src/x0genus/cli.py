@@ -18,12 +18,16 @@ import json
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 from itertools import chain
 from typing import Any, Callable, Iterable, Optional, TextIO, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import bounds, stats, values
 from .arith import PRIME_LIMIT_MAX
-from .genus import LEVEL_MAX, ConsistencyError, GenusBreakdown, genus as genus_breakdown, iter_blocks
+from .genus import (LEVEL_MAX, ConsistencyError, GenusBlock, GenusBreakdown,
+                    genus as genus_breakdown, iter_blocks)
 
 TABLE_COLUMNS = ("n", "mu", "nu2", "nu3", "nu_inf", "genus")
 
@@ -141,23 +145,84 @@ def _cmd_genus(args: argparse.Namespace, out: TextIO) -> None:
     _emit(args, out, asdict(genus_breakdown(args.n)))
 
 
-# (header, row format, row separator, trailer) of the table in each format
+# (header, row open, field separator, row close, row separator, trailer) of
+# the table in each format; every byte between the header and the trailer
+# is a digit or one of the middle four
 _TABLE_LAYOUT = {
-    "plain": ("", "%d %d %d %d %d %d\n", "", ""),
-    "csv": (",".join(TABLE_COLUMNS) + "\n", "%d,%d,%d,%d,%d,%d\n", "", ""),
+    "plain": ("", "", " ", "\n", "", ""),
+    "csv": (",".join(TABLE_COLUMNS) + "\n", "", ",", "\n", "", ""),
     "json": ('{"max": %%d, "columns": %s, "rows": [' % json.dumps(list(TABLE_COLUMNS)),
-             "[%d, %d, %d, %d, %d, %d]", ", ", "]}\n"),
+             "[", ", ", "]", ", ", "]}\n"),
 }
 
 
+@cache
+def _digit_words() -> np.ndarray:
+    """The 4 ASCII digits of every word 0..9999, packed in one uint32.
+
+    Entry w spells w in full, entry 10000 + w with its leading zeros as 0
+    bytes, and entry 20000 + w the same but keeping the last digit, so
+    that 0 is "0".  The bytes lie in reading order, as a view takes them.
+    """
+    w = np.arange(10000)[:, None]
+    scale = 10 ** np.arange(3, -1, -1)
+    digits = 48 + w // scale % 10
+    lead = w < scale
+    table = [digits, np.where(lead, 0, digits), np.where(lead & (scale > 1), 0, digits)]
+    words = np.concatenate(table).astype(np.uint8).view(np.uint32).ravel()
+    words.flags.writeable = False  # every caller shares the cached array
+    return words
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """The decimal digits of non-negative int64 values, right-aligned.
+
+    Each row is as wide as the largest value's digits, and a shorter
+    value's leading zeros are 0 bytes.  A value splits into base-10^4
+    words; a word with no non-zero word to its left takes the table's
+    leading-zero entry, or for the last word the entry that keeps a digit.
+    """
+    width = len(str(int(values.max())))
+    k = (width + 3) // 4
+    words = np.empty((len(values), k), dtype=np.intp)
+    for i in range(k - 1, 0, -1):
+        lead = values < 10000  # the words left of word i are all 0
+        values, words[:, i] = np.divmod(values, 10000)
+        words[:, i] += lead * (20000 if i == k - 1 else 10000)
+    words[:, 0] = values + (20000 if k == 1 else 10000)
+    return _digit_words()[words].view(np.uint8)[:, 4 * k - width :]
+
+
+def _encode_block(blk: GenusBlock, layout: tuple[str, ...]) -> str:
+    """The table rows of one block in a layout, joined by its row separator.
+
+    A (rows, width) byte matrix starts as the layout's row, separator
+    first, with 0 bytes where the digits go; each column's digits fill
+    their place.  The 0 bytes left (the digits' leading zeros and the
+    separator before the first row) drop out of the text.
+    """
+    _, row_open, field_sep, row_close, row_sep, _ = layout
+    digits = [_digits(c) for c in (blk.levels, blk.mu, blk.nu2, blk.nu3, blk.nu_inf, blk.genus)]
+    gaps = [row_sep + row_open] + [field_sep] * (len(digits) - 1) + [row_close]
+    template = "".join(g + "\0" * d.shape[1] for g, d in zip(gaps, digits)) + gaps[-1]
+    mat = np.empty((len(blk), len(template)), dtype=np.uint8)
+    mat[:] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
+    start = 0
+    for gap, d in zip(gaps, digits):
+        start += len(gap)
+        mat[:, start : start + d.shape[1]] = d
+        start += d.shape[1]
+    mat[0, : len(row_sep)] = 0
+    return mat.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _cmd_table(args: argparse.Namespace, out: TextIO) -> None:
-    header, row, sep, trailer = _TABLE_LAYOUT[args.format]
-    header = header.replace("%d", str(args.max))
+    layout = _TABLE_LAYOUT[args.format]
+    header, *_, row_sep, trailer = layout
     for blk in iter_blocks(1, args.max):
-        rows = zip(range(blk.lo, blk.hi + 1), blk.mu.tolist(), blk.nu2.tolist(),
-                   blk.nu3.tolist(), blk.nu_inf.tolist(), blk.genus.tolist())
         # the header goes out with the first block, after iter_blocks checks --max
-        out.write((sep if blk.lo > 1 else header) + sep.join(map(row.__mod__, rows)))
+        out.write(header.replace("%d", str(args.max)) if blk.lo == 1 else row_sep)
+        out.write(_encode_block(blk, layout))
     out.write(trailer)
 
 

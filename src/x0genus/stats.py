@@ -295,7 +295,9 @@ def residue_density_exact(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> R
         raise ValueError(f"need prime_limit >= 2, got {prime_limit}")
     s = primes_in_progression(ell, ell - 1, prime_limit).astype(np.float64)
     product = float(np.prod(1.0 - 1.0 / (s * s + s)))
-    exact = 1.0 - (1.0 - float(ell) ** -3) * product
+    # product lies in [1/2, 1], so 1 - product is exact (Sterbenz) and the
+    # ell^-3 term survives when the product rounds to 1
+    exact = (1.0 - product) + product * float(ell) ** -3
     return ResidueDensity(
         ell=ell,
         exact_value=exact,

@@ -14,15 +14,17 @@ Also here: the exhaustive residue scans and the divisor-sum cusp count for
 single levels, the walk over the powers of 2 that flagged_residue_classes
 made before it doubled numpy arrays, a smallest-prime-factor table with
 the scalar closed forms over it, the totient of one factorization and a
-totient sieve, and genus_table, which joins the blocks of [1, limit] into
-one.
+totient sieve, genus_table, which joins the blocks of [1, limit] into
+one, and the table writer that `x0genus table` used before it encoded a
+block's digits with numpy: one %d format per row.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -414,3 +416,31 @@ def genus_table(limit: int) -> GenusBlock:
         np.concatenate([b.nu_inf for b in blocks]),
         np.concatenate([b.genus for b in blocks]),
     )
+
+
+# (row format, row separator) of the table in each format
+TABLE_ROW_FORMATS = {
+    "plain": ("%d %d %d %d %d %d\n", ""),
+    "csv": ("%d,%d,%d,%d,%d,%d\n", ""),
+    "json": ("[%d, %d, %d, %d, %d, %d]", ", "),
+}
+
+
+def table_rows_reference(blk: GenusBlock, fmt: str) -> str:
+    """The rows of one block, each through the %d row format."""
+    row, sep = TABLE_ROW_FORMATS[fmt]
+    rows = zip(range(blk.lo, blk.hi + 1), blk.mu.tolist(), blk.nu2.tolist(),
+               blk.nu3.tolist(), blk.nu_inf.tolist(), blk.genus.tolist())
+    return sep.join(map(row.__mod__, rows))
+
+
+def table_reference(blocks: Iterable[GenusBlock], limit: int, fmt: str) -> str:
+    """The whole output of `x0genus table --max limit` over the given blocks."""
+    columns = ["n", "mu", "nu2", "nu3", "nu_inf", "genus"]
+    header, trailer = {
+        "plain": ("", ""),
+        "csv": (",".join(columns) + "\n", ""),
+        "json": ('{"max": %d, "columns": %s, "rows": [' % (limit, json.dumps(columns)), "]}\n"),
+    }[fmt]
+    sep = TABLE_ROW_FORMATS[fmt][1]
+    return header + sep.join(table_rows_reference(b, fmt) for b in blocks) + trailer

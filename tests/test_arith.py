@@ -261,16 +261,18 @@ def test_prime_counts_at_powers_of_ten():
 
 
 # residue_density_exact(ell, 10**8).exact_value for the eight table primes,
-# as the whole-range bool sieve computed them
+# as the whole-range bool sieve (oracles.primes_up_to_dense) gives them
+# through (1 - product) + product * ell**-3, each within 0.7 ulp of that
+# expression's exact value at the float product
 DENSITIES_AT_1E8 = [
-    "0.2372885617274646",
-    "0.012709862855867615",
-    "0.009458825044671215",
-    "0.0015300196742611405",
-    "0.0006485039949906124",
-    "0.0005577043720963459",
-    "0.0010220584182741854",
-    "0.0001717752266310324",
+    "0.23728856172746465",
+    "0.012709862855867627",
+    "0.009458825044671253",
+    "0.0015300196742611262",
+    "0.0006485039949905547",
+    "0.0005577043720963552",
+    "0.001022058418274186",
+    "0.00017177522663099057",
 ]
 
 _SIEVE_MEMORY = """

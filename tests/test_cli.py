@@ -13,14 +13,23 @@ from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import x0genus
 from x0genus import bounds, stats, values
 from x0genus.arith import Factorization
 from x0genus.cli import SCHEMAS, main
-from x0genus.genus import SEGMENT, breakdown_from_factorization, genus
+from x0genus.genus import (
+    LEVEL_MAX,
+    SEGMENT,
+    GenusBlock,
+    breakdown_block,
+    breakdown_from_factorization,
+    genus,
+)
 from x0genus.stats import S_MAX, flagged_residue_classes
+import oracles
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 cli_module = importlib.import_module("x0genus.cli")
@@ -373,6 +382,101 @@ def test_table_rows_across_a_segment_cut(fmt, tmp_path):
     for n in (1, SEGMENT, SEGMENT + 1, TABLE_ACROSS_CUT):
         b = genus(n)
         assert rows[n - 1] == [b.n, b.mu, b.nu2, b.nu3, b.nu_inf, b.genus]
+
+
+def assert_same_text(got, want):
+    """got == want; a mismatch names its first offset instead of diffing megabytes."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"lengths {len(got)}, {len(want)}; first difference at {i}: "
+                    f"{got[i - 40 : i + 40]!r} != {want[i - 40 : i + 40]!r}")
+
+
+def _stdout_or_file(argv, dest, tmp_path):
+    """Run the CLI in this process; what it wrote to stdout or to --output."""
+    if dest == "stdout":
+        code, out, err = run(argv)
+    else:
+        target = tmp_path / "out"
+        code, _, err = run(argv + ["--output", str(target)])
+        out = target.read_bytes().decode("ascii")
+    assert code == 0, err
+    return out
+
+
+@pytest.mark.parametrize("dest", ["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_table_bytes_equal_the_row_format_reference(fmt, dest, monkeypatch, tmp_path):
+    # the reference writer formats every row with %d, over the very blocks
+    # that the command's one iter_blocks pass handed it
+    blocks = []
+
+    def recording(lo, hi, *args, **kwargs):
+        for blk in genus_module.iter_blocks(lo, hi, *args, **kwargs):
+            blocks.append(blk)
+            yield blk
+
+    monkeypatch.setattr(cli_module, "iter_blocks", recording)
+    text = _stdout_or_file(["table", "--max", str(TABLE_ACROSS_CUT), "--format", fmt], dest,
+                           tmp_path)
+    assert [(b.lo, b.hi) for b in blocks] == [(1, SEGMENT), (SEGMENT + 1, TABLE_ACROSS_CUT)]
+    assert_same_text(text, oracles.table_reference(blocks, TABLE_ACROSS_CUT, fmt))
+    if fmt == "json":
+        assert f"], [{SEGMENT + 1}, " in text  # the row separator at the block cut
+
+
+# windows at the digit-count edges of the level, and where mu has 17 digits
+ENCODER_WINDOWS = [
+    (1, 200),
+    (10**4 - 300, 10**4 + 300),
+    (10**8 - 300, 10**8 + 300),
+    (10**12, 10**12 + 600),
+    (LEVEL_MAX - 2**10, LEVEL_MAX),
+]
+
+
+def assert_encodes_like_the_reference(blk):
+    for fmt, layout in cli_module._TABLE_LAYOUT.items():
+        assert_same_text(cli_module._encode_block(blk, layout),
+                         oracles.table_rows_reference(blk, fmt))
+
+
+@pytest.mark.parametrize("lo, hi", ENCODER_WINDOWS)
+def test_encoder_matches_the_row_format_reference(lo, hi):
+    assert_encodes_like_the_reference(breakdown_block(lo, hi))
+
+
+def test_encoder_at_every_digit_count():
+    # each column meets 0, 10^k - 1 and 10^k for every k, and the int64 top
+    edges = [0, 2**63 - 1] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+    cols = [np.roll(np.array(edges, dtype=np.int64), i) for i in range(5)]
+    blk = GenusBlock(LEVEL_MAX - len(edges) + 1, LEVEL_MAX, *cols)
+    assert_encodes_like_the_reference(blk)
+    one = GenusBlock(7, 7, *[np.zeros(1, dtype=np.int64)] * 5)
+    assert cli_module._encode_block(one, cli_module._TABLE_LAYOUT["json"]) == "[7, 0, 0, 0, 0, 0]"
+
+
+def test_encoder_prints_zero_as_0():
+    blk = breakdown_block(1, 200)
+    rows = [line.split(" ") for line in
+            cli_module._encode_block(blk, cli_module._TABLE_LAYOUT["plain"]).splitlines()]
+    for c, name in ((2, "nu2"), (3, "nu3"), (5, "genus")):
+        zeros = np.flatnonzero(getattr(blk, name) == 0)
+        assert len(zeros) > 0, name
+        assert all(rows[i][c] == "0" for i in zeros), name
+
+
+def test_digit_table_is_built_on_first_use():
+    script = (
+        "import x0genus, x0genus.cli\n"
+        "assert x0genus.cli._digit_words.cache_info().currsize == 0\n"
+        "assert x0genus.cli.main(['table', '--max', '3']) == 0\n"
+        "assert x0genus.cli._digit_words.cache_info().currsize == 1\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=checkout_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 1 1 1 1 0\n2 3 1 0 2 0\n3 4 0 1 2 0\n"
 
 
 def _run_bounds_command():

@@ -259,6 +259,23 @@ def test_density_regressions():
     )
 
 
+def test_density_keeps_ell_cubed_when_the_product_is_1():
+    # no prime = -1 (mod ell) lies below the default limit, so the product
+    # is 1 and P(ell) is ell^-3 alone, far below the float spacing at 1
+    d = residue_density_exact(10000019)
+    assert d.exact_value == 10000019.0**-3
+
+
+@pytest.mark.parametrize("ell", [3, 13, 23])
+def test_density_within_an_ulp_of_its_product(ell):
+    # 1 - (1 - ell^-3) * product, evaluated exactly at the float product
+    s = primes_in_progression(ell, ell - 1, 10**6).astype(np.float64)
+    product = Fraction(float(np.prod(1.0 - 1.0 / (s * s + s))))
+    exact = 1 - (1 - Fraction(1, ell**3)) * product
+    got = residue_density_exact(ell, 10**6).exact_value
+    assert abs(Fraction(got) - exact) <= Fraction(float(np.spacing(float(exact))))
+
+
 def test_density_table_bounds_easy_cases():
     for ell in (3, 7):
         d = residue_density_exact(ell, 10**6)
