@@ -25,17 +25,9 @@ from .arith import (
 )
 from .bounds import (
     BoundsReport,
-    LimsupDiagnostic,
     check_bounds_range,
     expected_equality_levels,
-    limsup_diagnostic,
-    limsup_table,
-    lower_bound,
-    lower_bound_equality,
-    lower_bound_holds,
     mu_over_12_bound_check,
-    primorial,
-    upper_bound,
 )
 from .genus import (
     ConsistencyError,
@@ -59,27 +51,20 @@ from .stats import (
     ResidueHistogram,
     asymptotic_constants,
     average_partial,
-    bound_3_over_ell_squared,
     dirichlet_F,
     dirichlet_tail_bound,
-    even_genus_frequency,
     flagged_residue_classes,
     residue_density_empirical,
     residue_density_exact,
     residue_histogram,
     restricted_congruence_check,
     squarefree_fraction,
-    two_is_primitive_root,
-    zeta,
     zeta_identity_check,
     zeta_with_error,
 )
 from .values import (
     MissedValuesReport,
-    ParityFamily,
     attained_genera,
-    even_attained_count,
-    even_genus_family,
     missed_values,
     power_of_two_congruence_check,
     scan_limit_for,
@@ -97,33 +82,22 @@ __all__ = [
     "Factorization",
     "GenusBlock",
     "GenusBreakdown",
-    "LimsupDiagnostic",
     "MissedValuesReport",
-    "ParityFamily",
     "ResidueDensity",
     "ResidueHistogram",
     "asymptotic_constants",
     "attained_genera",
     "average_partial",
-    "bound_3_over_ell_squared",
     "breakdown_block",
     "breakdown_from_factorization",
     "check_bounds_range",
     "dirichlet_F",
     "dirichlet_tail_bound",
-    "even_attained_count",
-    "even_genus_family",
-    "even_genus_frequency",
     "expected_equality_levels",
     "factorize",
     "flagged_residue_classes",
     "genus",
     "iter_blocks",
-    "limsup_diagnostic",
-    "limsup_table",
-    "lower_bound",
-    "lower_bound_equality",
-    "lower_bound_holds",
     "missed_values",
     "mu",
     "mu_over_12_bound_check",
@@ -133,7 +107,6 @@ __all__ = [
     "power_of_two_congruence_check",
     "primes_in_progression",
     "primes_up_to",
-    "primorial",
     "residue_density_empirical",
     "residue_density_exact",
     "residue_histogram",
@@ -141,10 +114,7 @@ __all__ = [
     "scan_limit_for",
     "squarefree_fraction",
     "theta",
-    "two_is_primitive_root",
-    "upper_bound",
     "verify_parity_classification",
-    "zeta",
     "zeta_identity_check",
     "zeta_with_error",
 ]

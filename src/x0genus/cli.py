@@ -330,7 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
 
     sp = add("missed", _cmd_missed, "positive integers <= --max never attained")
-    sp.add_argument("--max", type=int, required=True, help="largest genus value, >= 1")
+    sp.add_argument("--max", type=int, required=True,
+                    help=f"largest genus value, 1 to {values.MISSED_MAX}")
 
     sp = add("parity", _cmd_parity, "verify the six-family parity classification")
     sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {PRIME_LIMIT_MAX}")
@@ -342,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
 
     sp = add("density", _cmd_density, "density of g0(N) = 1 (mod ell)")
-    sp.add_argument("--ell", type=int, required=True, help="odd prime")
+    sp.add_argument("--ell", type=int, required=True, help="odd prime < 2**64")
     sp.add_argument("--empirical-max", type=int,
                     help=f"sample the levels up to here, 1 to {LEVEL_MAX}")
 

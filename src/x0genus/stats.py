@@ -18,7 +18,10 @@ the product over primes s = -1 (mod ell).  Truncating the product at
 prime_limit under-counts P(ell) by at most 1/prime_limit, so exact_value
 plus truncation_error is a certified upper bound for the true density.
 For squarefree N the cusp count is a power of two, which biases g0(N)
-toward the classes {1 - 2^k mod ell}; histograms expose that bias.
+toward the classes {1 - 2^k mod ell}; histograms expose that bias.  The
+table of density bounds and the P(ell) < 3/ell^2 certificate that the
+acceptance check reads from residue_density_exact are test data, kept
+with the test oracles.
 
 The growth constants a0, b, c of the attained-value counting function
 are derived from roots of two transcendental equations in (0, 1), found
@@ -33,24 +36,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import factorize, multiples, primes_in_progression, primes_up_to
+from .arith import FACTOR_LIMIT, factorize, multiples, primes_in_progression, primes_up_to
 from .genus import LEVEL_MAX, ConsistencyError, GenusBlock, iter_blocks
 
 AVG_RATIO_TARGET = 5.0 / (4.0 * pi**2)  # limit of (1/B) sum g0(N)/N
-AVG_SUM_TARGET = 5.0 / (8.0 * pi**2)  # limit of (1/B^2) sum g0(N)
-SQUAREFREE_DENSITY = 6.0 / pi**2
-
-# upper bounds on P(ell) that residue_density_exact certifies rigorously
-DENSITY_BOUND_TABLE = {
-    3: 1 / 4,
-    5: 1 / 78,
-    7: 1 / 105,
-    11: 1 / 653,
-    13: 1 / 1542,
-    17: 1 / 1793,
-    19: 1 / 978,
-    23: 1 / 5821,
-}
 
 DEFAULT_PRIME_LIMIT = 10**7
 DEFAULT_DIRICHLET_TERMS = 10**6
@@ -81,11 +70,11 @@ def _require_s(s: float, what: str, ceiling: float = S_MAX) -> None:
 
 
 def _require_odd_prime(ell: int) -> None:
+    """Refuse ell unless it is an odd prime below 2**64, the domain of factorize."""
     if ell == 2:
         raise ValueError("ell = 2 is covered by the parity classification, not densities")
-    f = factorize(ell)
-    if f.factors != ((ell, 1),):
-        raise ValueError(f"ell must be an odd prime, got {ell}")
+    if not 3 <= ell < FACTOR_LIMIT or factorize(ell).factors != ((ell, 1),):
+        raise ValueError(f"ell must be an odd prime below 2**64, got {ell}")
 
 
 def _require_histogram_ell(ell: int) -> None:
@@ -135,11 +124,6 @@ def zeta_with_error(s: float) -> tuple[float, float]:
         power /= m * m
     remainder = abs(_B18) / factorial(18) * rising * power
     return value, remainder
-
-
-def zeta(s: float) -> float:
-    """Riemann zeta at real s > 1."""
-    return zeta_with_error(s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +290,6 @@ def residue_density_exact(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> R
     )
 
 
-def bound_3_over_ell_squared(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> bool:
-    """Certify P(ell) < 3/ell^2, truncation error included."""
-    d = residue_density_exact(ell, prime_limit)
-    return d.exact_value + d.truncation_error < 3.0 / ell**2
-
-
 def _genus_residue_counts(m: int, bound: int) -> np.ndarray:
     """Number of levels N <= bound with g0(N) = r (mod m), for each r < m."""
     if bound < 1:
@@ -332,11 +310,6 @@ def residue_density_empirical(ell: int, bound: int) -> float:
     # LEVEL_MAX leaves every genus as reduction mod ell would
     m = min(ell, LEVEL_MAX)
     return sum(int(np.count_nonzero(b.genus % m == 1)) for b in iter_blocks(1, bound)) / bound
-
-
-def even_genus_frequency(bound: int) -> float:
-    """Frequency of even g0(N) over all levels N <= bound (the ell = 2 case)."""
-    return int(_genus_residue_counts(2, bound)[0]) / bound
 
 
 def _order_of_two(ell: int) -> int:
@@ -366,12 +339,6 @@ def flagged_residue_classes(ell: int) -> tuple[int, ...]:
     while pw.size < order:
         pw = np.concatenate((pw, pw * pow(2, pw.size, ell) % ell))
     return tuple(np.sort((1 - pw[:order]) % ell).tolist())
-
-
-def two_is_primitive_root(ell: int) -> bool:
-    """Whether 2 generates the full multiplicative group mod the odd prime ell."""
-    _require_odd_prime(ell)
-    return _order_of_two(ell) == ell - 1
 
 
 @dataclass(frozen=True)

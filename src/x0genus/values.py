@@ -3,27 +3,29 @@
 If n = g0(N) for some level N, then N < 12n + 18*sqrt(n) + 40 (a direct
 consequence of the lower bound), so scanning all levels up to that bound
 decides attainability for every n <= x at once.  The attained set is kept
-as a bitmap: one bit per candidate value, so x = 10**8 is still feasible.
+as a bool array, one byte per candidate value.  The scan is what limits x:
+attained_genera refuses a scan over more than DEFAULT_SCAN_CAPACITY levels,
+so x stops at MISSED_MAX = 24,992,496, the largest x whose scan_limit_for
+fits in that capacity.
 
 Parity is governed by a short classification: g0(N) is even exactly when N
 falls in one of six explicit families (small exceptional levels, four
-prime-power shapes, and two 2*p**r / 4*p**r shapes).  The classification is
-implemented both as a per-level predicate and as a constructive enumeration
-of each block's members, checked against the genus parity block by block.
+prime-power shapes, and two 2*p**r / 4*p**r shapes).  family_members
+enumerates each block's members constructively, and the parity check
+compares them with the genus parity block by block.
 
 Levels divisible by more than two distinct odd primes satisfy the stronger
-congruence g0(N) = 1 (mod 2**(s-2)), s the number of those primes.
-"""
+congruence g0(N) = 1 (mod 2**(s-2)), s the number of those primes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, log
+from math import isqrt
 from typing import Optional
 
 import numpy as np
 
-from .arith import factorize, multiples, primes_up_to
+from .arith import multiples, primes_up_to
 from .genus import iter_blocks
 
 # attained_genera refuses scans past this many levels (time, not memory)
@@ -42,6 +44,22 @@ def scan_limit_for(x: int) -> int:
     if s * s < x:
         s += 1
     return 12 * x + 18 * s + 40 + 1
+
+
+def _largest_x_within(capacity: int) -> int:
+    """The largest x with scan_limit_for(x) <= capacity, by bisection.
+
+    scan_limit_for increases with x, is 41 at x = 0 and exceeds x.
+    """
+    lo, hi = 0, capacity
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if scan_limit_for(mid) <= capacity else (lo, mid)
+    return lo
+
+
+# the largest x that missed_values and attained_genera accept
+MISSED_MAX = _largest_x_within(DEFAULT_SCAN_CAPACITY)
 
 
 @dataclass(frozen=True)
@@ -96,51 +114,6 @@ def missed_values(x: int) -> MissedValuesReport:
         odd_missed=tuple(int(v) for v in odd),
         first_odd_position=first_odd,
     )
-
-
-@dataclass(frozen=True)
-class ParityFamily:
-    """Which of the six even-genus families a level belongs to, if any."""
-
-    family_id: Optional[int]
-    witness: str
-
-
-def _matching_families(n: int) -> list[tuple[int, str]]:
-    matches: list[tuple[int, str]] = []
-    if n in EXCEPTIONAL_EVEN_LEVELS:
-        matches.append((1, f"n = {n}, one of {sorted(EXCEPTIONAL_EVEN_LEVELS)}"))
-    factors = factorize(n).factors
-    if len(factors) == 1:
-        p, r = factors[0]
-        if p % 8 == 5:
-            matches.append((2, f"n = {p}^{r} with {p} = 5 (mod 8)"))
-        if p % 8 == 7 and r % 2 == 1:
-            matches.append((3, f"n = {p}^{r} with {p} = 7 (mod 8), odd exponent"))
-        if p % 8 == 3 and r % 2 == 0:
-            matches.append((4, f"n = {p}^{r} with {p} = 3 (mod 8), even exponent"))
-    elif len(factors) == 2 and factors[0][0] == 2:
-        two_exp = factors[0][1]
-        p, r = factors[1]
-        if two_exp == 1 and p % 8 in (3, 5):
-            matches.append((5, f"n = 2 * {p}^{r} with {p} = +-3 (mod 8)"))
-        if two_exp == 2 and p % 4 == 3 and r % 2 == 1:
-            matches.append((6, f"n = 4 * {p}^{r} with {p} = 3 (mod 4), odd exponent"))
-    return matches
-
-
-def even_genus_family(n: int) -> ParityFamily:
-    """Classify n among the six families with even genus (or none)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    matches = _matching_families(n)
-    if not matches:
-        return ParityFamily(None, "no family matches; genus is odd")
-    if len(matches) > 1:
-        # the six cases are mutually exclusive by construction
-        raise RuntimeError(f"families {[m[0] for m in matches]} overlap at n={n}")
-    fid, witness = matches[0]
-    return ParityFamily(fid, witness)
 
 
 def _in_family(m: int, r: int, p: np.ndarray) -> np.ndarray:
@@ -215,13 +188,3 @@ def power_of_two_congruence_check(limit: int) -> list[int]:
 
     return [n for blk in iter_blocks(1, limit) for n in violations(blk)]
 
-
-def even_attained_count(x: int) -> tuple[int, float]:
-    """Count of even attained values in [1, x], and its ratio to x/log x.
-
-    The ratio is a slow-convergence diagnostic (the count is asymptotically
-    proportional to x/log x); it is reported, never gated.
-    """
-    attained = attained_genera(x)
-    count = int(np.count_nonzero(attained[2::2]))
-    return count, count / (x / log(x))

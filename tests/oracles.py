@@ -17,18 +17,30 @@ the scalar closed forms over it, the totient of one factorization and a
 totient sieve, genus_table, which joins the blocks of [1, limit] into
 one, and the table writer that `x0genus table` used before it encoded a
 block's digits with numpy: one %d format per row.
+
+The scalar second routes and the test data that the package once held
+live here too: the lower and upper bounds of one level in exact integer
+and float form (lower_bound, lower_bound_holds, lower_bound_equality and
+upper_bound), which bound_reports is checked against; the per-level parity
+families from a factorization (ParityFamily, _matching_families and
+even_genus_family), which family_members is checked against; the count of
+even attained values (even_attained_count); and the certified density
+bounds that criterion 09 reads (DENSITY_BOUND_TABLE and
+bound_3_over_ell_squared).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from math import gcd, isqrt
-from typing import Iterable, Iterator
+from math import gcd, isqrt, log
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from x0genus.arith import Factorization, factorize, primes_up_to
+from x0genus.bounds import UPPER_BOUND_COEFF
 from x0genus.genus import (
     GenusBlock,
     GenusBreakdown,
@@ -36,6 +48,8 @@ from x0genus.genus import (
     iter_blocks,
     theta,
 )
+from x0genus.stats import DEFAULT_PRIME_LIMIT, residue_density_exact
+from x0genus.values import EXCEPTIONAL_EVEN_LEVELS, attained_genera
 
 # Exhaustive residue scans are O(n); refuse far-too-large inputs instead of
 # silently grinding.
@@ -444,3 +458,122 @@ def table_reference(blocks: Iterable[GenusBlock], limit: int, fmt: str) -> str:
     }[fmt]
     sep = TABLE_ROW_FORMATS[fmt][1]
     return header + sep.join(table_rows_reference(b, fmt) for b in blocks) + trailer
+
+
+# ---------------------------------------------------------------------------
+# scalar bounds, one level at a time: the slow route bound_reports is checked
+# against
+
+
+def lower_bound(n: int) -> float:
+    """(n - 5*sqrt(n) - 8) / 12 as a float (see the exact tests below)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return (n - 5 * math.sqrt(n) - 8) / 12
+
+
+def lower_bound_holds(n: int, g: int) -> bool:
+    """Exact test of 12*g >= n - 5*sqrt(n) - 8.
+
+    Equivalent to: n - 8 - 12*g <= 0, or else (n - 8 - 12*g)^2 <= 25*n.
+    """
+    lhs = n - 8 - 12 * g
+    return lhs <= 0 or lhs * lhs <= 25 * n
+
+
+def lower_bound_equality(n: int, g: int) -> bool:
+    """Exact test of 12*g = n - 5*sqrt(n) - 8 (requires n to be a square)."""
+    s = math.isqrt(n)
+    return s * s == n and 12 * g + 5 * s + 8 == n
+
+
+def upper_bound(n: int) -> float:
+    """n * e**gamma/(2*pi**2) * (loglog n + 2/loglog n), defined for n > 2."""
+    if n <= 2:
+        raise ValueError(f"upper bound is only stated for n > 2, got {n}")
+    ll = math.log(math.log(n))
+    return n * UPPER_BOUND_COEFF * (ll + 2 / ll)
+
+
+# ---------------------------------------------------------------------------
+# the parity families, one level at a time from its factorization: the slow
+# route family_members is checked against
+
+
+@dataclass(frozen=True)
+class ParityFamily:
+    """Which of the six even-genus families a level belongs to, if any."""
+
+    family_id: Optional[int]
+    witness: str
+
+
+def _matching_families(n: int) -> list[tuple[int, str]]:
+    matches: list[tuple[int, str]] = []
+    if n in EXCEPTIONAL_EVEN_LEVELS:
+        matches.append((1, f"n = {n}, one of {sorted(EXCEPTIONAL_EVEN_LEVELS)}"))
+    factors = factorize(n).factors
+    if len(factors) == 1:
+        p, r = factors[0]
+        if p % 8 == 5:
+            matches.append((2, f"n = {p}^{r} with {p} = 5 (mod 8)"))
+        if p % 8 == 7 and r % 2 == 1:
+            matches.append((3, f"n = {p}^{r} with {p} = 7 (mod 8), odd exponent"))
+        if p % 8 == 3 and r % 2 == 0:
+            matches.append((4, f"n = {p}^{r} with {p} = 3 (mod 8), even exponent"))
+    elif len(factors) == 2 and factors[0][0] == 2:
+        two_exp = factors[0][1]
+        p, r = factors[1]
+        if two_exp == 1 and p % 8 in (3, 5):
+            matches.append((5, f"n = 2 * {p}^{r} with {p} = +-3 (mod 8)"))
+        if two_exp == 2 and p % 4 == 3 and r % 2 == 1:
+            matches.append((6, f"n = 4 * {p}^{r} with {p} = 3 (mod 4), odd exponent"))
+    return matches
+
+
+def even_genus_family(n: int) -> ParityFamily:
+    """Classify n among the six families with even genus (or none)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    matches = _matching_families(n)
+    if not matches:
+        return ParityFamily(None, "no family matches; genus is odd")
+    if len(matches) > 1:
+        # the six cases are mutually exclusive by construction
+        raise RuntimeError(f"families {[m[0] for m in matches]} overlap at n={n}")
+    fid, witness = matches[0]
+    return ParityFamily(fid, witness)
+
+
+def even_attained_count(x: int) -> tuple[int, float]:
+    """Count of even attained values in [1, x], and its ratio to x/log x.
+
+    The ratio is a slow-convergence diagnostic (the count is asymptotically
+    proportional to x/log x); it is reported, never gated.
+    """
+    attained = attained_genera(x)
+    count = int(np.count_nonzero(attained[2::2]))
+    return count, count / (x / log(x))
+
+
+# ---------------------------------------------------------------------------
+# residue densities: the certified bounds that criterion 09 checks
+
+
+# upper bounds on P(ell) that residue_density_exact certifies rigorously
+DENSITY_BOUND_TABLE = {
+    3: 1 / 4,
+    5: 1 / 78,
+    7: 1 / 105,
+    11: 1 / 653,
+    13: 1 / 1542,
+    17: 1 / 1793,
+    19: 1 / 978,
+    23: 1 / 5821,
+}
+
+
+def bound_3_over_ell_squared(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> bool:
+    """Certify P(ell) < 3/ell^2, truncation error included."""
+    d = residue_density_exact(ell, prime_limit)
+    return d.exact_value + d.truncation_error < 3.0 / ell**2

@@ -11,7 +11,9 @@ import numpy as np
 
 from x0genus import arith, bounds, stats, values
 from oracles import (
+    DENSITY_BOUND_TABLE,
     GROWTH_CONSTANT_DIGITS,
+    bound_3_over_ell_squared,
     mu_divisor_sum,
     nu2_brute,
     nu3_brute,
@@ -151,11 +153,11 @@ def test_c08_growth_constants():
 
 
 def test_c09_residue_density_bounds():
-    small_ok = all(stats.bound_3_over_ell_squared(ell, 10**7) for ell in
+    small_ok = all(bound_3_over_ell_squared(ell, 10**7) for ell in
                    (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                     59, 61, 67, 71, 73, 79, 83, 89, 97))
     margins = {}
-    for ell, bound in stats.DENSITY_BOUND_TABLE.items():
+    for ell, bound in DENSITY_BOUND_TABLE.items():
         d = stats.residue_density_exact(ell, prime_limit=10**8)
         margins[ell] = bound - (d.exact_value + d.truncation_error)
     table_ok = all(m > 0 for m in margins.values())

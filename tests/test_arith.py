@@ -24,6 +24,7 @@ from x0genus.arith import (
     primes_up_to,
 )
 from oracles import (
+    DENSITY_BOUND_TABLE,
     build_spf_table,
     euler_phi,
     factor_dumb,
@@ -276,13 +277,13 @@ DENSITIES_AT_1E8 = [
 ]
 
 _SIEVE_MEMORY = """
-import json, resource
+import json, resource, sys
 from x0genus.arith import primes_up_to
-from x0genus.stats import DENSITY_BOUND_TABLE, residue_density_exact
+from x0genus.stats import residue_density_exact
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 ps = primes_up_to(10**8)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-densities = [repr(residue_density_exact(ell, 10**8).exact_value) for ell in DENSITY_BOUND_TABLE]
+densities = [repr(residue_density_exact(int(ell), 10**8).exact_value) for ell in sys.argv[1:]]
 print(json.dumps({"grew": (after - before) * 1024, "nbytes": ps.nbytes, "densities": densities}))
 """
 
@@ -293,8 +294,8 @@ def test_sieve_memory_stays_near_the_result():
     A fresh interpreter, so no earlier test has set the peak.  ru_maxrss is
     in KiB on Linux.  The whole-range bool sieve took five times the result.
     """
-    proc = subprocess.run([sys.executable, "-c", _SIEVE_MEMORY], capture_output=True,
-                          text=True, env=checkout_env(), check=True)
+    argv = [sys.executable, "-c", _SIEVE_MEMORY, *map(str, DENSITY_BOUND_TABLE)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=checkout_env(), check=True)
     got = json.loads(proc.stdout)
     assert got["grew"] < 3 * got["nbytes"], got
     assert got["densities"] == DENSITIES_AT_1E8

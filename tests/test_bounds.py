@@ -1,4 +1,4 @@
-"""Lower/upper genus bounds, equality levels, and primorial diagnostics."""
+"""Lower/upper genus bounds and equality levels, block verdicts against the scalar forms."""
 
 import math
 from dataclasses import replace
@@ -8,21 +8,13 @@ import pytest
 
 from x0genus.arith import factorize
 from x0genus.bounds import (
-    MERTENS_COEFF,
-    UPPER_BOUND_COEFF,
     bound_reports,
     check_bounds_range,
     expected_equality_levels,
-    limsup_diagnostic,
-    limsup_table,
-    lower_bound,
-    lower_bound_equality,
-    lower_bound_holds,
     mu_over_12_bound_check,
-    primorial,
-    upper_bound,
 )
 from x0genus.genus import breakdown_block, genus
+from oracles import lower_bound, lower_bound_equality, lower_bound_holds, upper_bound
 
 
 def test_lower_bound_value():
@@ -103,38 +95,31 @@ def test_equality_found_near_level_max():
     assert [(r.n, r.lower_equality, r.is_violation) for r in reports] == [(n, True, False)]
 
 
-def test_primorials():
-    assert primorial(2) == 2
-    assert primorial(7) == 210
-    assert primorial(11) == 2310
-    assert primorial(31) == 200560490130
-    assert primorial(52) == primorial(47) == 614889782588491410
-    with pytest.raises(ValueError):
-        primorial(1)
-    with pytest.raises(ValueError):
-        primorial(53)
+def planted_genera(n):
+    """0, the lower-bound edge and ceil(upper_bound(n)), each with its neighbours."""
+    edge = -(-(n - 8 - math.isqrt(25 * n)) // 12)  # least g with 12*g >= n - 8 - 5*sqrt(n)
+    upper = math.ceil(upper_bound(n))
+    return (0, edge - 1, edge, edge + 1, upper - 1, upper, upper + 1)
 
 
-def test_limsup_diagnostic_rows():
-    row = limsup_diagnostic(47)
-    assert row.primorial == 614889782588491410
-    assert row.mu_ratio == pytest.approx(1.142796458235486, rel=1e-12)
-    assert row.genus_ratio == pytest.approx(0.09876127819884596, rel=1e-12)
-    assert row.mu_limit == pytest.approx(MERTENS_COEFF)
-    assert row.genus_limit == pytest.approx(UPPER_BOUND_COEFF)
-
-
-def test_limsup_table_converges_downward():
-    rows = limsup_table([7, 13, 23, 31, 43, 47])
-    ratios = [r.mu_ratio for r in rows]
-    # mu(N_x)/(N_x log x) decreases toward 6 e^gamma / pi^2 from above
-    assert ratios == sorted(ratios, reverse=True)
-    assert all(r.mu_ratio > MERTENS_COEFF for r in rows)
-    assert all(r.genus_ratio > UPPER_BOUND_COEFF for r in rows[1:])
-    assert rows[-1].mu_ratio == pytest.approx(1.142796458235486, rel=1e-12)
-
-
-def test_limsup_table_default_covers_primes():
-    rows = limsup_table()
-    assert [r.x for r in rows][:4] == [2, 3, 5, 7]
-    assert rows[-1].x == 47
+@pytest.mark.parametrize("lo", [10**6, 10**12, 10**16 - 2**17])
+def test_bound_reports_match_the_scalar_bounds(lo):
+    blk = breakdown_block(lo, lo + 1023)
+    genera = blk.genus.copy()
+    levels = [lo + 100 * (j + 1) for j in range(7)]
+    for j, n in enumerate(levels):
+        genera[n - lo] = planted_genera(n)[j]
+    # lo is a square at 10**6 and 10**12, so its lower edge is an equality
+    genera[0] = planted_genera(lo)[2]
+    expected = []
+    for n, g in zip(range(lo, lo + 1024), genera.tolist()):
+        bad = not lower_bound_holds(n, g) or (n > 2 and g >= upper_bound(n))
+        if bad or lower_bound_equality(n, g):
+            expected.append((n, g, lower_bound_equality(n, g), bad))
+    reports = bound_reports(replace(blk, genus=genera))
+    assert [(r.n, r.genus, r.lower_equality, r.is_violation) for r in reports] == expected
+    # both edges are crossed: below the lower one and from ceil(upper_bound) up
+    verdicts = {r.n: r.is_violation for r in reports}
+    assert [verdicts.get(n, False) for n in levels] == [True, True, False, False, False, True, True]
+    equality = [r.n for r in reports if r.lower_equality]
+    assert equality == ([lo] if math.isqrt(lo) ** 2 == lo else [])

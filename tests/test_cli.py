@@ -273,6 +273,22 @@ def test_invalid_input_exits_1(tmp_path):
         assert code == 1, argv
         assert err.startswith("error:") and "2**64" in err, err
         assert out == ""
+    # density states its own domain, not the factoring one
+    for ell in ("0", "-3", "18446744073709551629"):
+        code, out, err = run(["density", "--ell", ell])
+        assert (code, out) == (1, ""), ell
+        assert err == f"error: ell must be an odd prime below 2**64, got {ell}\n"
+
+
+@pytest.mark.parametrize("argv, domain", [
+    (["missed"], f"largest genus value, 1 to {values.MISSED_MAX}"),
+    (["density"], "odd prime < 2**64"),
+])
+def test_help_states_the_domain(argv, domain, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert domain in " ".join(capsys.readouterr().out.split())
 
 
 def test_usage_errors_exit_2():
@@ -493,15 +509,12 @@ ONE_PASS = {
     "mu_over_12_bound_check": (lambda: bounds.mu_over_12_bound_check(5, H), (5, H)),
     "attained_genera": (lambda: values.attained_genera(1000), (1, values.scan_limit_for(1000))),
     "missed_values": (lambda: values.missed_values(1000), (1, values.scan_limit_for(1000))),
-    "even_attained_count": (lambda: values.even_attained_count(1000),
-                            (1, values.scan_limit_for(1000))),
     "verify_parity_classification": (lambda: values.verify_parity_classification(H), (1, H)),
     "power_of_two_congruence_check": (lambda: values.power_of_two_congruence_check(H), (1, H)),
     "average_partial": (lambda: stats.average_partial(H), (1, H)),
     "dirichlet_F": (lambda: stats.dirichlet_F(2.0, H), (1, H)),
     "zeta_identity_check": (lambda: stats.zeta_identity_check(2.0, H), (1, H)),
     "residue_density_empirical": (lambda: stats.residue_density_empirical(7, H), (1, H)),
-    "even_genus_frequency": (lambda: stats.even_genus_frequency(H), (1, H)),
     "residue_histogram": (lambda: stats.residue_histogram(7, H), (1, H)),
     "restricted_congruence_check": (lambda: stats.restricted_congruence_check(3, H), (1, H)),
 }
@@ -569,6 +582,7 @@ def assert_one_error_line(proc):
         ["density", "--ell", "7", "--empirical-max", str(10**16 + 1)],
         ["genus", "0"],
         ["missed", "--max", "100000000"],  # beyond the scan capacity
+        ["missed", "--max", str(values.MISSED_MAX + 1)],  # the first x beyond it
         ["histogram", "--ell", "1048583", "--max", "10"],  # first prime above 2**20
         ["density", "--ell", "2"],
         ["dirichlet", "--s", "1.0"],

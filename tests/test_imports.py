@@ -1,7 +1,9 @@
-"""Dead-import guard: a stdlib stand-in for a linter's unused-import check.
+"""Dead-import and dead-code guards: stdlib stand-ins for a linter.
 
 Every module of the package reads each name it imports, and the package's
-__all__ lists exactly the names its __init__ imports.
+__all__ lists exactly the names its __init__ imports.  Every top-level
+definition of the package is reached from what a command, a gate or the
+benchmark reads, so code that only tests read lives in tests/oracles.py.
 """
 
 import ast
@@ -11,7 +13,8 @@ import pytest
 
 import x0genus
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "x0genus"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "x0genus"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,3 +40,100 @@ def test_all_lists_exactly_the_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert sorted(x0genus.__all__) == sorted(imported_names(tree))
     assert len(x0genus.__all__) == len(set(x0genus.__all__))
+
+
+# Read by no command, gate or benchmark, and kept on purpose: a congruence
+# the paper states for the levels with a prime factor = -1 (mod 12*ell).
+KEPT_UNGATED = (("stats", "restricted_congruence_check"),)
+
+
+def _module_of(node: ast.AST, modules: dict) -> str | None:
+    """The package module an expression names: an alias or import_module("x0genus.<module>")."""
+    if isinstance(node, ast.Name):
+        return modules.get(node.id)
+    if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "import_module"
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).startswith("x0genus.")):
+        return node.args[0].value.removeprefix("x0genus.")
+    return None
+
+
+def _package_names(tree: ast.Module) -> tuple[dict, dict]:
+    """What a file's imports from the package stand for.
+
+    Returns the (module, name) each imported name stands for, and the
+    module each module alias stands for.  Relative imports are the
+    package's own; a file outside it imports from x0genus.
+    """
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").split(".")[0] == "x0genus"):
+            home = (node.module or "").removeprefix("x0genus").removeprefix(".")
+            for a in node.names:
+                if home:
+                    names[a.asname or a.name] = (home, a.name)
+                else:
+                    modules[a.asname or a.name] = a.name
+        elif isinstance(node, ast.Assign) and _module_of(node.value, modules):
+            modules.update((t.id, _module_of(node.value, modules))
+                           for t in node.targets if isinstance(t, ast.Name))
+    return names, modules
+
+
+def _reads(node: ast.AST, names: dict, modules: dict) -> set[tuple[str, str]]:
+    """(module, name) of every package name that node reads, bare or as a module attribute."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names:
+            out.add(names[n.id])
+        elif isinstance(n, ast.Attribute) and (mod := _module_of(n.value, modules)):
+            out.add((mod, n.attr))
+    return out
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines, the module protocol's dunders aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        found = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        found = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        found = [stmt.target.id]
+    else:
+        found = []
+    return [n for n in found if not (n.startswith("__") and n.endswith("__"))]
+
+
+def package_graph() -> tuple[dict, set]:
+    """Edges from each top-level definition to the package names it reads.
+
+    Module-level code that defines nothing runs on import, so what it
+    reads is returned as a root.
+    """
+    edges, roots = {}, set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, modules = _package_names(tree)
+        names.update((n, (path.stem, n)) for stmt in tree.body for n in _defined(stmt))
+        for stmt in tree.body:
+            reads = _reads(stmt, names, modules)
+            edges.update(((path.stem, n), reads) for n in _defined(stmt))
+            if not _defined(stmt):
+                roots |= reads
+    return edges, roots
+
+
+def test_every_definition_is_reached():
+    edges, roots = package_graph()
+    roots |= {("cli", "main"), ("cli", "SCHEMAS"), *KEPT_UNGATED}
+    for path in [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        roots |= _reads(tree, *_package_names(tree))
+    reached, todo = set(), list(roots)
+    while todo:
+        node = todo.pop()
+        if node in edges and node not in reached:
+            reached.add(node)
+            todo.extend(edges[node])
+    assert sorted(f"{m}.{n}" for m, n in edges.keys() - reached) == []

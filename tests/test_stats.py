@@ -14,34 +14,32 @@ from x0genus.arith import primes_in_progression, primes_up_to
 from x0genus.genus import SEGMENT, breakdown_block, genus
 from x0genus.stats import (
     AVG_RATIO_TARGET,
-    AVG_SUM_TARGET,
-    DENSITY_BOUND_TABLE,
     MU_RATIO_BELOW_FOUR_LIMIT,
-    SQUAREFREE_DENSITY,
     S_MAX,
     SQUAREFREE_MAX,
     _bisect,
+    _genus_residue_counts,
+    _order_of_two,
+    _require_odd_prime,
     asymptotic_constants,
     average_partial,
     block_genus_sum,
-    bound_3_over_ell_squared,
     dirichlet_F,
     dirichlet_tail_bound,
-    even_genus_frequency,
     flagged_residue_classes,
     residue_density_empirical,
     residue_density_exact,
     residue_histogram,
     restricted_congruence_check,
     squarefree_fraction,
-    two_is_primitive_root,
-    zeta,
     zeta_identity_check,
     zeta_with_error,
 )
 from x0genus.values import family_members
 from oracles import (
+    DENSITY_BOUND_TABLE,
     GROWTH_CONSTANT_DIGITS,
+    bound_3_over_ell_squared,
     flagged_residue_classes_walk,
     genus_table,
     growth_constants_mp,
@@ -53,9 +51,9 @@ from oracles import (
 
 
 def test_zeta_closed_forms():
-    assert zeta(2.0) == pytest.approx(pi**2 / 6, rel=1e-14)
-    assert zeta(4.0) == pytest.approx(pi**4 / 90, rel=1e-14)
-    assert zeta(6.0) == pytest.approx(pi**6 / 945, rel=1e-14)
+    assert zeta_with_error(2.0)[0] == pytest.approx(pi**2 / 6, rel=1e-14)
+    assert zeta_with_error(4.0)[0] == pytest.approx(pi**4 / 90, rel=1e-14)
+    assert zeta_with_error(6.0)[0] == pytest.approx(pi**6 / 945, rel=1e-14)
 
 
 def test_zeta_against_scipy():
@@ -68,7 +66,7 @@ def test_zeta_against_scipy():
 def test_zeta_domain():
     for s in (1.0, 0.5, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
-            zeta(s)
+            zeta_with_error(s)
 
 
 # s from near the pole to where zeta(s) - 1 is below 1e-3
@@ -130,7 +128,8 @@ def test_block_genus_sum_is_exact_near_level_max(lo):
 
 def test_average_targets():
     assert AVG_RATIO_TARGET == pytest.approx(0.126651, abs=1e-6)
-    assert AVG_SUM_TARGET == pytest.approx(AVG_RATIO_TARGET / 2, rel=1e-15)
+    # AverageReport's avg_genus_over_b converges to half the target, 5/(8 pi^2)
+    assert AVG_RATIO_TARGET / 2 == pytest.approx(5.0 / (8.0 * pi**2), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,7 @@ def test_flagged_classes():
         assert 1 not in flagged  # 1 - 2^k is never 1 mod ell
         assert flagged == flagged_residue_classes_walk(ell), ell
         # one class per power of 2 below its order
-        assert two_is_primitive_root(ell) == (len(flagged) == ell - 1), ell
+        assert (_order_of_two(ell) == ell - 1) == (len(flagged) == ell - 1), ell
 
 
 def test_flagged_classes_near_the_ceiling():
@@ -308,23 +307,26 @@ def test_flagged_classes_near_the_ceiling():
 
 
 def test_two_primitive_root_values():
-    assert two_is_primitive_root(3)
-    assert two_is_primitive_root(5)
-    assert not two_is_primitive_root(7)
-    assert two_is_primitive_root(11)
-    assert two_is_primitive_root(13)
-    assert not two_is_primitive_root(17)
-    assert not two_is_primitive_root(23)
+    def primitive(ell):  # 2 generates the whole group mod ell
+        return _order_of_two(ell) == ell - 1
+
+    assert primitive(3)
+    assert primitive(5)
+    assert not primitive(7)
+    assert primitive(11)
+    assert primitive(13)
+    assert not primitive(17)
+    assert not primitive(23)
     # the order test reads no residue classes, so it answers far above the walk's ceiling
     pinned = {1048573: True, 10**9 + 7: False, 2**61 - 1: False, 2**64 - 59: True}
     for ell, expected in pinned.items():
-        assert two_is_primitive_root(ell) is expected, ell
+        assert primitive(ell) is expected, ell
         assert sympy.is_primitive_root(2, ell) is expected, ell
     for n in (1, 9, 2**64 - 1):
         with pytest.raises(ValueError, match="odd prime"):
-            two_is_primitive_root(n)
+            _require_odd_prime(n)
     with pytest.raises(ValueError):
-        two_is_primitive_root(2)
+        _require_odd_prime(2)
 
 
 def test_flagged_classes_refuse_above_the_ceiling():
@@ -381,7 +383,7 @@ def test_empirical_frequencies_need_a_level():
         with pytest.raises(ValueError):
             residue_density_empirical(7, bound)
         with pytest.raises(ValueError):
-            even_genus_frequency(bound)
+            _genus_residue_counts(2, bound)
 
 
 def test_empirical_density_regressions():
@@ -390,7 +392,7 @@ def test_empirical_density_regressions():
 
 
 def test_even_genus_frequency_matches_family_count():
-    freq = even_genus_frequency(10**6)
+    freq = int(_genus_residue_counts(2, 10**6)[0]) / 10**6  # even genera
     assert freq == pytest.approx(0.071388, abs=1e-12)
     # independent route: count members of the six families directly
     members = int(np.count_nonzero(family_members(1, 10**6, primes_up_to(10**6))))
@@ -457,7 +459,7 @@ def test_squarefree_refuses_above_its_ceiling(monkeypatch):
 
 def test_squarefree_regression_and_target():
     assert squarefree_fraction(10**6) == pytest.approx(0.607926, abs=1e-12)
-    assert SQUAREFREE_DENSITY == pytest.approx(0.607927, abs=1e-6)
+    assert 6 / pi**2 == pytest.approx(0.607927, abs=1e-6)  # the target criterion 11 prints
 
 
 # ---------------------------------------------------------------------------

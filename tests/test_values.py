@@ -8,9 +8,9 @@ import pytest
 from x0genus.arith import factorize, primes_up_to
 from x0genus.values import (
     EXCEPTIONAL_EVEN_LEVELS,
+    DEFAULT_SCAN_CAPACITY,
+    MISSED_MAX,
     attained_genera,
-    even_attained_count,
-    even_genus_family,
     family_members,
     missed_values,
     odd_prime_counts,
@@ -19,7 +19,7 @@ from x0genus.values import (
     verify_parity_classification,
 )
 from x0genus.genus import SEGMENT, genus
-from oracles import build_spf_table
+from oracles import build_spf_table, even_attained_count, even_genus_family
 
 
 def test_scan_limit_examples():
@@ -28,6 +28,13 @@ def test_scan_limit_examples():
     # always clears the real-valued bound 12x + 18 sqrt(x) + 40
     for x in (1, 2, 10, 99, 100, 10**4, 10**5, 10**8):
         assert scan_limit_for(x) > 12 * x + 18 * x**0.5 + 40
+
+
+def test_missed_max_is_the_largest_x_within_the_scan_capacity():
+    assert scan_limit_for(MISSED_MAX) <= DEFAULT_SCAN_CAPACITY < scan_limit_for(MISSED_MAX + 1)
+    assert MISSED_MAX == 24992496  # the figure the module docstring states
+    with pytest.raises(ValueError, match="beyond capacity"):
+        attained_genera(MISSED_MAX + 1)
 
 
 def test_attained_small():
