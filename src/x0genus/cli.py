@@ -30,6 +30,8 @@ from .genus import (LEVEL_MAX, ConsistencyError, GenusBlock, GenusBreakdown,
                     genus as genus_breakdown, iter_blocks)
 
 TABLE_COLUMNS = ("n", "mu", "nu2", "nu3", "nu_inf", "genus")
+# the largest precision a format spec takes: a C int
+PRECISION_MAX = 2**31 - 1
 
 _JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
@@ -309,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--output", default=None, help="output file (default: stdout)")
     common.add_argument(
-        "--precision", type=int, default=10, help="significant digits for real values, >= 1"
+        "--precision", type=int, default=10,
+        help=f"significant digits for real values, 1 to {PRECISION_MAX}",
     )
 
     p = argparse.ArgumentParser(
@@ -389,6 +392,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+        if args.precision > PRECISION_MAX:
+            raise ValueError(f"--precision must be 1 to {PRECISION_MAX}, got {args.precision}")
         args.func(args, out)
         out.flush()
     except BrokenPipeError:

@@ -4,9 +4,8 @@ If n = g0(N) for some level N, then N < 12n + 18*sqrt(n) + 40 (a direct
 consequence of the lower bound), so scanning all levels up to that bound
 decides attainability for every n <= x at once.  The attained set is kept
 as a bool array, one byte per candidate value.  The scan is what limits x:
-attained_genera refuses a scan over more than DEFAULT_SCAN_CAPACITY levels,
-so x stops at MISSED_MAX = 24,992,496, the largest x whose scan_limit_for
-fits in that capacity.
+attained_genera refuses any x above MISSED_MAX = 24,992,496, the largest x
+whose scan_limit_for fits in DEFAULT_SCAN_CAPACITY levels.
 
 Parity is governed by a short classification: g0(N) is even exactly when N
 falls in one of six explicit families (small exceptional levels, four
@@ -28,7 +27,7 @@ import numpy as np
 from .arith import multiples, primes_up_to
 from .genus import iter_blocks
 
-# attained_genera refuses scans past this many levels (time, not memory)
+# the most levels a scan for missed values may cover (time, not memory)
 DEFAULT_SCAN_CAPACITY = 3 * 10**8
 
 EXCEPTIONAL_EVEN_LEVELS = frozenset({1, 2, 3, 4, 8, 16})
@@ -80,15 +79,13 @@ def attained_genera(x: int) -> np.ndarray:
     Completeness is guaranteed by scanning every level below
     scan_limit_for(x).
     """
-    if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    limit = scan_limit_for(x)
-    if limit > DEFAULT_SCAN_CAPACITY:
+    if not 1 <= x <= MISSED_MAX:
         raise ValueError(
-            f"x={x} needs a scan over {limit} levels, beyond capacity {DEFAULT_SCAN_CAPACITY}"
+            f"need 1 <= x <= {MISSED_MAX}, got {x}: a larger x scans beyond "
+            f"capacity {DEFAULT_SCAN_CAPACITY} levels"
         )
     attained = np.zeros(x + 1, dtype=bool)
-    for blk in iter_blocks(1, limit):
+    for blk in iter_blocks(1, scan_limit_for(x)):
         g = blk.genus
         attained[g[g <= x]] = True
     return attained

@@ -1,6 +1,5 @@
 """Command line surface: formats, schemas, exit codes, determinism."""
 
-import importlib
 import io
 import json
 import math
@@ -10,14 +9,14 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
+from decimal import Decimal
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-import x0genus
-from x0genus import bounds, stats, values
+from x0genus import bounds, cli as cli_module, genus as genus_module, stats, values
 from x0genus.arith import Factorization
 from x0genus.cli import SCHEMAS, main
 from x0genus.genus import (
@@ -32,8 +31,6 @@ from x0genus.stats import S_MAX, flagged_residue_classes
 import oracles
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-cli_module = importlib.import_module("x0genus.cli")
-genus_module = importlib.import_module("x0genus.genus")
 
 
 def checkout_env():
@@ -217,6 +214,14 @@ def test_constants_plain_precision():
     assert out == "A=0.5426\nB=0.3734\na0=0.8178\nb=0.2588\nc=0.2065\n"
 
 
+def test_precision_ceiling_prints_a_float_exactly():
+    # 2**31 - 1 digits are accepted; "g" drops the trailing zeros
+    target = stats.average_partial(10).target
+    code, out, _ = run(["average", "--max", "10", "--precision", "2147483647"])
+    assert code == 0
+    assert f"target={Decimal(target)}\n" in out
+
+
 def test_dirichlet_json_schema():
     payload = run_json(["dirichlet", "--s", "2"])
     jsonschema.validate(payload, SCHEMAS["dirichlet"])
@@ -246,6 +251,10 @@ def test_invalid_input_exits_1(tmp_path):
         ["dirichlet", "--s", "inf"],
         ["genus", "11", "--precision", "-1"],
         ["constants", "--precision", "0"],
+        # above 2**31 - 1, the largest precision a format spec takes
+        ["genus", "11", "--precision", "2147483648"],
+        ["average", "--max", "10", "--precision", "2147483648"],
+        ["constants", "--precision", "9223372036854775808"],
         ["table", "--max", "0"],
         ["table", "--max", "-3"],
         ["parity", "--max", "0"],
@@ -283,6 +292,7 @@ def test_invalid_input_exits_1(tmp_path):
 @pytest.mark.parametrize("argv, domain", [
     (["missed"], f"largest genus value, 1 to {values.MISSED_MAX}"),
     (["density"], "odd prime < 2**64"),
+    (["constants"], "significant digits for real values, 1 to 2147483647"),
 ])
 def test_help_states_the_domain(argv, domain, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -343,7 +353,7 @@ def test_package_starts_no_threads():
         "from x0genus.genus import SEGMENT\n"
         "assert 'concurrent.futures' not in sys.modules\n"
         "before = threading.active_count()\n"
-        "seen = [threading.active_count() for _ in x0genus.iter_blocks(1, 3 * SEGMENT)]\n"
+        "seen = [threading.active_count() for _ in x0genus.genus.iter_blocks(1, 3 * SEGMENT)]\n"
         "assert seen == [before] * 3, (before, seen)\n"
         "assert threading.active_count() == before\n"
         "assert 'concurrent.futures' not in sys.modules\n"
@@ -530,7 +540,7 @@ def test_whole_range_scan_sieves_once(monkeypatch, name):
         passes.append((lo, hi))
         return original(lo, hi, *args, **kwargs)
 
-    for module in (x0genus, genus_module, bounds, values, stats, cli_module):
+    for module in (genus_module, bounds, values, stats, cli_module):
         for key, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, key, counting)

@@ -5,7 +5,6 @@ factorization, the vectorized block sieve, and definition-level oracles
 (exhaustive residue scans, divisor sums).
 """
 
-import importlib
 from math import isqrt
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import x0genus.genus as genus_module
 from x0genus.arith import Factorization, factorize, primes_up_to
 from x0genus.genus import (
     LEVEL_MAX,
@@ -43,9 +43,6 @@ from oracles import (
     nu_inf_divisor_sum,
     nu_infinity_brute,
 )
-
-# the package re-exports the function genus, which shadows the submodule
-genus_module = importlib.import_module("x0genus.genus")
 
 FIELDS = ("mu", "nu2", "nu3", "nu_inf", "genus")
 
@@ -333,8 +330,8 @@ def test_blocks_match_independent_factorization(lo, width, data):
         assert blk.breakdown(n) == breakdown_from_factorization(f)
 
 
-def test_package_genus_is_the_function_and_the_module_stays_reachable():
-    import x0genus
+def test_import_of_the_genus_submodule_binds_the_module():
+    import x0genus.genus as G
 
-    assert x0genus.genus(11).genus == 1
-    assert importlib.import_module("x0genus.genus").SEGMENT == 1 << 17
+    assert G.genus(11).genus == 1
+    assert G.SEGMENT == 1 << 17
