@@ -76,10 +76,9 @@ def bound_reports(blk: GenusBlock) -> list[BoundsReport]:
     lhs = np.minimum(n - 8 - 12 * g, 5 * math.isqrt(blk.hi) + 5)
     bad = (lhs > 0) & (lhs * lhs > 25 * n)  # below the lower bound
     equality = (lhs > 0) & (lhs * lhs == 25 * n)
-    big = n > 2
-    if np.any(big):
-        ll = np.log(np.log(n[big]))
-        bad[big] |= g[big] >= n[big] * UPPER_BOUND_COEFF * (ll + 2 / ll)
+    big = slice(max(0, 3 - blk.lo), None)  # the levels n > 2
+    ll = np.log(np.log(n[big]))
+    bad[big] |= g[big] >= n[big] * UPPER_BOUND_COEFF * (ll + 2 / ll)
     return [
         BoundsReport(m, int(g[m - blk.lo]), bool(equality[m - blk.lo]), bool(bad[m - blk.lo]))
         for m in blk.where(bad | equality)

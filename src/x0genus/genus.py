@@ -18,8 +18,9 @@ ConsistencyError rather than rounding.
 For batch ranges there is a segmented, numpy-vectorized sieve
 (breakdown_block / iter_blocks) that computes all five quantities for every
 level in a window, up to LEVEL_MAX.  One routine, _lift, holds the rule for
-how a prime power p**j changes mu, nu2, nu3 and nu_inf; the strided
-small-prime pass, the batched large-prime passes and the cofactor pass
+how a prime power p**j changes mu, nu2, nu3 and nu_inf; the pre-sieved
+period of the powers of 2, 3, 5 and 7 dividing 5040, the small-prime pass
+of strided slices, the batched large-prime passes and the cofactor pass
 only list the levels it applies to.  iter_blocks cuts a range into
 fixed-size segments and sieves them one after another in the calling
 thread; every whole-range check is one plain loop over such a pass.
@@ -28,7 +29,7 @@ thread; every whole-range check is one plain loop over such a pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterator
 
 import numpy as np
@@ -40,10 +41,18 @@ from .arith import Factorization, factorize, multiples, primes_up_to
 # fsums one float sum per block, so another width could change its last bits.
 SEGMENT = 1 << 17
 
-# breakdown_block applies primes up to this one with strided index runs, one
-# prime at a time; a larger prime hits a segment at most SEGMENT / 2048 = 64
-# times, and all of those primes are sieved together (see multiples).
+# breakdown_block applies each prime up to this one on its own, as strided
+# slices of the window (after the pre-sieved powers below); a larger prime
+# hits a segment at most SEGMENT / 2048 = 64 times, and all of those primes
+# are sieved together (see multiples).
 SMALL_PRIME_LIMIT = SEGMENT >> 6
+
+# The prime powers p**e whose contribution to a level depends only on the
+# level mod PERIOD = 2**4 * 3**2 * 5 * 7 = 5040.  breakdown_block copies
+# them from one period sieved at import and starts each of these primes'
+# strided slices at p**(e+1).
+PRESIEVED = {2: 4, 3: 2, 5: 1, 7: 1}
+PERIOD = prod(p**e for p, e in PRESIEVED.items())
 
 # The highest level the block sieve accepts.  Its primes up to 1e8 still
 # sieve in seconds, and int64 mu stays exact (it wraps near N = 2.09e18).
@@ -213,22 +222,60 @@ def _lift(mu, nu2, nu3, nu_inf, rem, idx, p, j: int) -> None:
     3 - p % 4 and nu3 (p + 1) % 3: 2 for p = 1 mod 4 (mod 3), 0 for p = 3
     mod 4 (2 mod 3), 1 for p = 2 (p = 3).  At j = 2 nu2 gains p % 2 and nu3
     sign(p % 3), 0 only for p = 2 and p = 3.  nu_inf's theta(p, j-1)
-    becomes theta(p, j), and rem loses p.  ufunc.at is unbuffered, so a repeated
-    index, a level that several primes divide, gets every update; the
-    factors are ints because bool ones send ufunc.at down a slow path.
+    becomes theta(p, j), and rem loses p.
+
+    idx is a slice, whose indices are distinct, or an index array.  A slice
+    is updated in place through a view.  An array goes through ufunc.at,
+    which is unbuffered, so a repeated index, a level that several primes
+    divide, gets every update; the factors are ints because bool ones send
+    ufunc.at down a slow path.
     """
-    if j == 1:
-        np.multiply.at(mu, idx, p + 1)
-        np.multiply.at(nu2, idx, 3 - p % 4)
-        np.multiply.at(nu3, idx, (p + 1) % 3)
+    if isinstance(idx, slice):
+        def at(ufunc, a, f):
+            view = a[idx]
+            ufunc(view, f, out=view)
     else:
-        np.multiply.at(mu, idx, p)
+        def at(ufunc, a, f):
+            ufunc.at(a, idx, f)
+
+    if j == 1:
+        at(np.multiply, mu, p + 1)
+        at(np.multiply, nu2, 3 - p % 4)
+        at(np.multiply, nu3, (p + 1) % 3)
+    else:
+        at(np.multiply, mu, p)
         if j == 2:
-            np.multiply.at(nu2, idx, p % 2)
-            np.multiply.at(nu3, idx, np.sign(p % 3))
-        np.floor_divide.at(nu_inf, idx, theta(p, j - 1))
-    np.multiply.at(nu_inf, idx, theta(p, j))
-    np.floor_divide.at(rem, idx, p)
+            at(np.multiply, nu2, p % 2)
+            at(np.multiply, nu3, np.sign(p % 3))
+        at(np.floor_divide, nu_inf, theta(p, j - 1))
+    at(np.multiply, nu_inf, theta(p, j))
+    at(np.floor_divide, rem, p)
+
+
+def _period() -> np.ndarray:
+    """The pre-sieved powers over two periods, as a read-only (5, 2*PERIOD) array.
+
+    Columns i and PERIOD + i hold mu, nu2, nu3 and nu_inf as the powers in
+    PRESIEVED leave them at a level N = i (mod PERIOD), and gcd(N, PERIOD):
+    a power p**j, j <= PRESIEVED[p], divides N exactly when it divides i,
+    and 0 is divisible by all of them.  _lift applies them as in the block
+    sieve, to a rem that starts at PERIOD and so ends at PERIOD / gcd(N,
+    PERIOD).  With two periods side by side, a whole period starting at any
+    phase is one slice.
+    """
+    table = np.ones((5, PERIOD), dtype=np.int64)
+    mu_a, nu2_a, nu3_a, nui_a, rem = table
+    rem[:] = PERIOD
+    for p, e in PRESIEVED.items():
+        for j in range(1, e + 1):
+            _lift(mu_a, nu2_a, nu3_a, nui_a, rem, slice(0, PERIOD, p**j), p, j)
+    rem[:] = PERIOD // rem
+    table = np.concatenate([table, table], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+_PERIOD = _period()
 
 
 def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> GenusBlock:
@@ -236,14 +283,17 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
 
     A segmented multiplicative sieve: _lift applies every power p**j of
     every prime p <= sqrt(hi) at the levels it divides, and what remains of
-    a level is then 1 or one prime above sqrt(hi), applied last.  Small
-    primes, p <= SMALL_PRIME_LIMIT, hit many levels each and go in one
-    power at a time as strided index runs.  Large primes hit a window a few
-    times or not at all, so multiples lists the hits of all of them at
-    once, one pass per exponent j over the primes whose p**(j-1) divides
-    some level.  `primes`, when given, must hold every prime up to
-    isqrt(hi) (more are ignored); one that stops short raises ValueError,
-    and so does hi above LEVEL_MAX.
+    a level is then 1 or one prime above sqrt(hi), applied last.  The
+    powers p**e in PRESIEVED come first, from a tiled copy of the period
+    sieved at import, and rem starts as each level over its gcd with
+    PERIOD.  Small primes, p <= SMALL_PRIME_LIMIT, hit many levels each
+    and go in one power at a time, from p**(e+1) for a pre-sieved p and
+    from p for the others, as in-place updates of strided slices.  Large
+    primes hit a window a few times or not at all, so multiples lists the
+    hits of all of them at once, one pass per exponent j over the primes
+    whose p**(j-1) divides some level.  `primes`, when given, must hold
+    every prime up to isqrt(hi) (more are ignored); one that stops short
+    raises ValueError, and so does hi above LEVEL_MAX.
 
     Every update is exact integer arithmetic, each division exact, so the
     order in which primes, or the hits of one pass, are applied cannot
@@ -262,14 +312,23 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     primes = primes[: np.searchsorted(primes, isqrt(hi), side="right")]
     n_small = np.searchsorted(primes, SMALL_PRIME_LIMIT, side="right")
     size = hi - lo + 1
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    mu_a, nu2_a, nu3_a, nui_a = np.ones((4, size), dtype=np.int64)
-
-    # small primes one at a time, one strided run per power p**j that hits
+    # the pre-sieved powers, copied in a period at a time from the phase of
+    # lo, leave rem = N / gcd(N, PERIOD); the other small primes follow one
+    # at a time, one strided slice per power p**j
+    quad = np.empty((4, size), dtype=np.int64)
+    rem = np.empty(size, dtype=np.int64)
+    offset = lo % PERIOD
+    for k in range(0, size, PERIOD):
+        phase = slice(offset, offset + min(PERIOD, size - k))
+        quad[:, k : k + PERIOD] = _PERIOD[:4, phase]
+        rem[k : k + PERIOD] = _PERIOD[4, phase]
+    np.floor_divide(np.arange(lo, hi + 1, dtype=np.int64), rem, out=rem)
+    mu_a, nu2_a, nu3_a, nui_a = quad
     for p in primes[:n_small].tolist():
-        pj, j = p, 1
+        j = PRESIEVED.get(p, 0) + 1
+        pj = p**j
         while pj <= hi and (first := -lo % pj) < size:
-            _lift(mu_a, nu2_a, nu3_a, nui_a, rem, np.arange(first, size, pj), p, j)
+            _lift(mu_a, nu2_a, nu3_a, nui_a, rem, slice(first, size, pj), p, j)
             pj, j = pj * p, j + 1
 
     # large primes all at once, one pass per exponent j

@@ -16,6 +16,7 @@ import x0genus.genus as genus_module
 from x0genus.arith import Factorization, factorize, primes_up_to
 from x0genus.genus import (
     LEVEL_MAX,
+    PERIOD,
     SEGMENT,
     SMALL_PRIME_LIMIT,
     ConsistencyError,
@@ -245,6 +246,18 @@ def _assert_blocks_equal(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def _assert_block_matches_scalar(blk, levels):
+    for n in levels:
+        assert blk.breakdown(n) == genus(n), n
+
+
+def _period_edges(lo, hi):
+    """The levels of [lo, hi] that are 0, 1 or -1 mod PERIOD, and lo and hi."""
+    first = lo - lo % PERIOD
+    edges = (m + d for m in range(first, hi + 2, PERIOD) for d in (-1, 0, 1))
+    return sorted({lo, hi, *(n for n in edges if lo <= n <= hi)})
+
+
 # first levels of iter_blocks(1, ...) segments: a window around one of them
 # straddles a segment cut
 def _cut_near(height):
@@ -257,10 +270,14 @@ def _cut_near(height):
         (_cut_near(10**8) - 4000, _cut_near(10**8) + 4000),
         (_cut_near(10**10) - 2500, _cut_near(10**10) + 1500),
         (_cut_near(10**12), _cut_near(10**12) + SEGMENT - 1),
+        (LEVEL_MAX - SEGMENT, LEVEL_MAX - 1),  # the strided oracle takes seconds here
     ],
 )
 def test_block_matches_strided_oracle_at_height(lo, hi):
-    _assert_blocks_equal(breakdown_block(lo, hi), breakdown_block_strided(lo, hi))
+    primes = primes_up_to(isqrt(hi))
+    blk = breakdown_block(lo, hi, primes)
+    _assert_blocks_equal(blk, breakdown_block_strided(lo, hi, primes))
+    _assert_block_matches_scalar(blk, _period_edges(lo, hi))
 
 
 def test_iter_blocks_match_strided_oracle_across_a_cut():
@@ -272,6 +289,63 @@ def test_iter_blocks_match_strided_oracle_across_a_cut():
     for name in FIELDS:
         got = np.concatenate([getattr(b, name) for b in blocks])
         assert np.array_equal(got, getattr(want, name)), name
+
+
+def test_period_is_read_only_and_resieving_repeats_a_window():
+    period = genus_module._PERIOD
+    assert period.shape == (5, 2 * PERIOD) and not period.flags.writeable
+    assert np.array_equal(period[4], np.gcd(np.arange(2 * PERIOD), PERIOD))
+    lo, hi = 10**9 - 3 * PERIOD, 10**9 + 2 * PERIOD
+    first, second = breakdown_block(lo, hi), breakdown_block(lo, hi)
+    _assert_blocks_equal(first, second)
+    assert not any(np.shares_memory(getattr(first, name), period) for name in FIELDS)
+    first.mu[:] = 0  # a block's arrays are its own, so the next block is unchanged
+    _assert_blocks_equal(breakdown_block(lo, hi), second)
+    with pytest.raises(ValueError, match="read-only"):
+        period[0, 0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        period[4] //= 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 2039])
+@pytest.mark.parametrize("j", range(1, 6))
+def test_lift_on_a_slice_equals_lift_on_its_index_array(p, j):
+    # a window whose first multiple of p**j is at index 5, with the lower
+    # powers of p already applied, as the sieve leaves it
+    lo, size = p**j - 5, 3000
+    state = np.ones((5, size), dtype=np.int64)
+    state[4] = np.arange(lo, lo + size)
+    for i in range(1, j):
+        genus_module._lift(*state, slice(-lo % p**i, size, p**i), p, i)
+    by_slice, by_index = state.copy(), state.copy()
+    genus_module._lift(*by_slice, slice(5, size, p**j), p, j)
+    genus_module._lift(*by_index, np.arange(5, size, p**j), p, j)
+    assert not np.array_equal(by_slice, state)
+    assert np.array_equal(by_slice, by_index)
+
+
+@pytest.mark.parametrize("base", [PERIOD, 198413 * PERIOD, 10**12 // PERIOD * PERIOD])
+@pytest.mark.parametrize("residue", [0, 1, PERIOD - 1])
+@pytest.mark.parametrize("width", [1, 97, PERIOD - 1, PERIOD + 2, 3 * PERIOD])
+def test_windows_around_the_period_match_strided_and_scalar(base, residue, width):
+    # lo at 0, 1 and -1 mod PERIOD, so the tiled period starts at its first,
+    # second or last column, near 5040, 1e9 and 1e12; windows shorter than
+    # a period and windows crossing one to three period ends
+    lo = base + residue
+    hi = lo + width - 1
+    blk = breakdown_block(lo, hi)
+    _assert_blocks_equal(blk, breakdown_block_strided(lo, hi))
+    _assert_block_matches_scalar(blk, _period_edges(lo, hi))
+
+
+def test_windows_below_49_match_strided_and_scalar():
+    # below 16 (49) a pre-sieved power of 2 (of 7) lies above hi, and below
+    # 4, 9, 25 and 49 a pre-sieved prime lies above isqrt(hi)
+    for hi in range(1, 61):
+        for lo in range(1, hi + 1):
+            blk = breakdown_block(lo, hi)
+            _assert_blocks_equal(blk, breakdown_block_strided(lo, hi))
+            _assert_block_matches_scalar(blk, range(lo, hi + 1))
 
 
 # levels whose large prime factors (p > SMALL_PRIME_LIMIT) share a level or
