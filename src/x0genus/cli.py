@@ -222,7 +222,6 @@ def _cmd_table(args: argparse.Namespace, out: TextIO) -> None:
     layout = _TABLE_LAYOUT[args.format]
     header, *_, row_sep, trailer = layout
     for blk in iter_blocks(1, args.max):
-        # the header goes out with the first block, after iter_blocks checks --max
         out.write(header.replace("%d", str(args.max)) if blk.lo == 1 else row_sep)
         out.write(_encode_block(blk, layout))
     out.write(trailer)
@@ -278,10 +277,12 @@ def _cmd_average(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _cmd_density(args: argparse.Namespace, out: TextIO) -> None:
-    d = stats.residue_density_exact(args.ell)
+    # the sample comes first, so a refused --empirical-max sieves no primes
+    freq = None
     if args.empirical_max is not None:
         freq = stats.residue_density_empirical(args.ell, args.empirical_max)
-        d = replace(d, empirical_frequency=freq, sample_bound=args.empirical_max)
+    d = replace(stats.residue_density_exact(args.ell), empirical_frequency=freq,
+                sample_bound=args.empirical_max)
     _emit(args, out, asdict(d))
 
 
@@ -386,13 +387,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     out = sys.stdout if args.output is None else _OutputFile(args.output)
     try:
-        # every subcommand has --precision, the range scans --max, density an
-        # optional --empirical-max; the scans take a --max below 1 as no levels
-        for flag in ("precision", "max", "empirical_max"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise ValueError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
-        if args.precision > PRECISION_MAX:
+        if not 1 <= args.precision <= PRECISION_MAX:
             raise ValueError(f"--precision must be 1 to {PRECISION_MAX}, got {args.precision}")
         args.func(args, out)
         out.flush()

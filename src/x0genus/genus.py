@@ -196,6 +196,12 @@ class GenusBlock:
         return (np.nonzero(mask)[0] + self.lo).tolist()
 
 
+def _require_levels(lo: int, hi: int) -> None:
+    """Refuse a level range that is empty or leaves [1, LEVEL_MAX]."""
+    if not 1 <= lo <= hi <= LEVEL_MAX:
+        raise ValueError(f"need 1 <= lo <= hi <= LEVEL_MAX = {LEVEL_MAX}, got [{lo}, {hi}]")
+
+
 def _require_primes_up_to(primes: np.ndarray, root: int) -> None:
     """Refuse a prime array that misses a prime <= root.
 
@@ -293,18 +299,13 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     hits of all of them at once, one pass per exponent j over the primes
     whose p**(j-1) divides some level.  `primes`, when given, must hold
     every prime up to isqrt(hi) (more are ignored); one that stops short
-    raises ValueError, and so does hi above LEVEL_MAX.
+    raises ValueError, and so does a range _require_levels refuses.
 
     Every update is exact integer arithmetic, each division exact, so the
     order in which primes, or the hits of one pass, are applied cannot
     change a value, and no intermediate exceeds the level's final value.
     """
-    if lo < 1:
-        raise ValueError(f"need lo >= 1, got {lo}")
-    if hi < lo:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    if hi > LEVEL_MAX:
-        raise ValueError(f"levels stop at LEVEL_MAX = {LEVEL_MAX}, got hi = {hi}")
+    _require_levels(lo, hi)
     if primes is None:
         primes = primes_up_to(isqrt(hi))
     else:
@@ -359,17 +360,15 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
 
 
 def iter_blocks(lo: int, hi: int, threads: int = 1) -> Iterator[GenusBlock]:
-    """Yield breakdown blocks covering [lo, hi] in order, one per SEGMENT.
+    """Breakdown blocks covering [lo, hi] in order, one per SEGMENT.
 
-    hi above LEVEL_MAX raises ValueError before any prime is sieved.
+    The range is checked at the call, before any prime is sieved: one that
+    is empty or leaves [1, LEVEL_MAX] raises ValueError there, not at the
+    first block.  The primes up to isqrt(hi) are sieved once for the pass.
     `threads` is ignored; it is kept only because the benchmark's trace
     wrapper (perfbench/spans.py) reads that argument.
     """
-    if hi < lo:
-        return
-    if hi > LEVEL_MAX:
-        raise ValueError(f"levels stop at LEVEL_MAX = {LEVEL_MAX}, got hi = {hi}")
+    _require_levels(lo, hi)
     primes = primes_up_to(isqrt(hi))
-    for a in range(lo, hi + 1, SEGMENT):
-        yield breakdown_block(a, min(a + SEGMENT - 1, hi), primes)
-
+    return (breakdown_block(a, min(a + SEGMENT - 1, hi), primes)
+            for a in range(lo, hi + 1, SEGMENT))

@@ -161,8 +161,6 @@ def average_partial(bound: int) -> AverageReport:
     The genus sum is accumulated exactly in integers; the ratio sum uses
     pairwise block sums combined by fsum, with relative error below 1e-13.
     """
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
     ratio_parts, genus_sum = [], 0
     for blk in iter_blocks(1, bound):
         ratio_parts.append(float(np.sum(blk.genus / blk.levels)))
@@ -180,8 +178,6 @@ def dirichlet_F(s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS) -> float:
     The omitted tail is positive and below dirichlet_tail_bound(s, n_terms).
     """
     _require_s(s, "F (pole at s = 1)")
-    if n_terms < 1:
-        raise ValueError(f"need n_terms >= 1, got {n_terms}")
     return fsum(float(np.sum(b.mu * b.levels ** (-s - 1.0))) for b in iter_blocks(1, n_terms))
 
 
@@ -292,8 +288,6 @@ def residue_density_exact(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> R
 
 def _genus_residue_counts(m: int, bound: int) -> np.ndarray:
     """Number of levels N <= bound with g0(N) = r (mod m), for each r < m."""
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
     return sum((np.bincount(b.genus % m, minlength=m) for b in iter_blocks(1, bound)),
                np.zeros(m, dtype=np.int64))
 
@@ -304,8 +298,6 @@ def residue_density_empirical(ell: int, bound: int) -> float:
     Only class 1 is counted, so no array as long as ell is made.
     """
     _require_odd_prime(ell)
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
     # g0(N) < N <= LEVEL_MAX, so for a larger ell the int64 reduction mod
     # LEVEL_MAX leaves every genus as reduction mod ell would
     m = min(ell, LEVEL_MAX)
@@ -386,8 +378,6 @@ def restricted_congruence_check(ell: int, bound: int) -> list[int]:
     term.  Expected empty.
     """
     _require_odd_prime(ell)
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
     qs = primes_in_progression(12 * ell, 12 * ell - 1, bound)
     # g0 - 1 + nu_inf // 2 lies in [-1, N), so for an ell above LEVEL_MAX,
     # which may not fit int64, reduction mod LEVEL_MAX finds the same zeros

@@ -152,8 +152,6 @@ def verify_parity_classification(limit: int) -> list[int]:
 
     Expected empty.
     """
-    if limit < 1:
-        raise ValueError(f"need limit >= 1, got {limit}")
     primes = primes_up_to(limit)
     return [n for b in iter_blocks(1, limit)
             for n in b.where((b.genus % 2 == 0) != family_members(b.lo, b.hi, primes))]
@@ -174,8 +172,6 @@ def power_of_two_congruence_check(limit: int) -> list[int]:
     Only levels with s > 2 distinct odd prime divisors are in scope.
     Expected empty.
     """
-    if limit < 1:
-        raise ValueError(f"need limit >= 1, got {limit}")
     primes = primes_up_to(limit)
 
     def violations(blk):

@@ -210,19 +210,16 @@ def breakdown_block_strided(lo: int, hi: int, primes=None):
     """
     if primes is None:
         primes = primes_up_to(isqrt(hi))
+    # only the primes up to isqrt(hi) with a multiple in [lo, hi] change a level
+    primes = primes[(primes <= isqrt(hi)) & (hi // primes * primes >= lo)]
     size = hi - lo + 1
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     mu_a = rem.copy()
     nu2_a = np.ones(size, dtype=np.int64)
     nu3_a = np.ones(size, dtype=np.int64)
     nui_a = np.ones(size, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
+    for p in primes.tolist():
         start = ((lo + p - 1) // p) * p
-        if start > hi:
-            continue
         sl = slice(start - lo, size, p)
         mu_a[sl] = mu_a[sl] // p * (p + 1)
         if p == 2:

@@ -1,5 +1,6 @@
 """Command line surface: formats, schemas, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -547,6 +548,52 @@ def test_whole_range_scan_sieves_once(monkeypatch, name):
     call, span = ONE_PASS[name]
     call()
     assert passes == [span]
+
+
+# the functions of ONE_PASS that take a level bound, each with the lo of
+# its pass; attained_genera and missed_values bound a genus value and keep
+# their own refusal at MISSED_MAX
+BOUNDED = {
+    "cli-bounds": (lambda b: cli_module._cmd_bounds(argparse.Namespace(max=b), io.StringIO()), 1),
+    "check_bounds_range": (lambda b: bounds.check_bounds_range(5, b), 5),
+    "mu_over_12_bound_check": (lambda b: bounds.mu_over_12_bound_check(5, b), 5),
+    "verify_parity_classification": (values.verify_parity_classification, 1),
+    "power_of_two_congruence_check": (values.power_of_two_congruence_check, 1),
+    "average_partial": (stats.average_partial, 1),
+    "dirichlet_F": (lambda b: stats.dirichlet_F(2.0, b), 1),
+    "zeta_identity_check": (lambda b: stats.zeta_identity_check(2.0, b), 1),
+    "residue_density_empirical": (lambda b: stats.residue_density_empirical(7, b), 1),
+    "residue_histogram": (lambda b: stats.residue_histogram(7, b), 1),
+    "restricted_congruence_check": (lambda b: stats.restricted_congruence_check(3, b), 1),
+}
+
+
+def test_every_level_bounded_scan_is_listed():
+    assert set(BOUNDED) == set(ONE_PASS) - {"attained_genera", "missed_values"}
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+@pytest.mark.parametrize("name", BOUNDED)
+def test_bound_below_one_is_the_one_level_refusal(monkeypatch, name, bound):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block was sieved before the level range was refused")
+
+    monkeypatch.setattr(genus_module, "breakdown_block", no_block)
+    call, lo = BOUNDED[name]
+    with pytest.raises(ValueError) as exc:
+        call(bound)
+    assert str(exc.value) == f"need 1 <= lo <= hi <= LEVEL_MAX = {LEVEL_MAX}, got [{lo}, {bound}]"
+
+
+@pytest.mark.parametrize("bound", ["0", "-5", str(LEVEL_MAX + 1)])
+def test_density_refuses_empirical_max_before_sieving(monkeypatch, bound):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("primes sieved before --empirical-max was refused")
+
+    monkeypatch.setattr(stats, "primes_in_progression", no_sieve)
+    code, out, err = run(["density", "--ell", "7", "--empirical-max", bound])
+    assert (code, out) == (1, "")
+    assert err == f"error: need 1 <= lo <= hi <= LEVEL_MAX = {LEVEL_MAX}, got [1, {bound}]\n"
 
 
 def test_dirichlet_at_and_above_the_s_ceiling():

@@ -5,6 +5,7 @@ factorization, the vectorized block sieve, and definition-level oracles
 (exhaustive residue scans, divisor sums).
 """
 
+import re
 from math import isqrt
 
 import numpy as np
@@ -168,8 +169,10 @@ def test_levels_above_level_max_refused(monkeypatch):
         raise AssertionError("primes sieved before the level check")
 
     monkeypatch.setattr(genus_module, "primes_up_to", no_sieve)
-    with pytest.raises(ValueError, match="LEVEL_MAX"):
-        next(iter_blocks(LEVEL_MAX - 10, LEVEL_MAX + 1))
+    # refused at the call, with no next()
+    for lo, hi in [(LEVEL_MAX - 10, LEVEL_MAX + 1), (1, 0), (1, LEVEL_MAX + 1)]:
+        with pytest.raises(ValueError, match=re.escape(f"LEVEL_MAX = {LEVEL_MAX}, got [{lo}, {hi}]")):
+            iter_blocks(lo, hi)
 
 
 def test_planted_cusp_fault_raises_consistency_error(monkeypatch):
@@ -216,7 +219,8 @@ def test_iter_blocks_segmentation():
     blocks = list(iter_blocks(1, hi))
     assert [(b.lo, b.hi) for b in blocks] == [(a, min(a + SEGMENT - 1, hi))
                                               for a in range(1, hi + 1, SEGMENT)]
-    assert list(iter_blocks(5, 4)) == []
+    with pytest.raises(ValueError, match=re.escape(f"LEVEL_MAX = {LEVEL_MAX}, got [5, 4]")):
+        iter_blocks(5, 4)  # refused at the call, with no next()
 
 
 def test_genus_table_concatenates():

@@ -1,6 +1,7 @@
 """Attained genus values, the missed set, and the parity classification."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from x0genus.values import (
     scan_limit_for,
     verify_parity_classification,
 )
-from x0genus.genus import SEGMENT, genus
+from x0genus.genus import LEVEL_MAX, SEGMENT, genus
 from oracles import build_spf_table, even_attained_count, even_genus_family
 
 
@@ -211,7 +212,7 @@ def test_power_of_two_congruence_clean_at_1e5():
 @pytest.mark.parametrize("check", [verify_parity_classification, power_of_two_congruence_check])
 @pytest.mark.parametrize("limit", [0, -5])
 def test_checks_refuse_limit_below_one(check, limit):
-    with pytest.raises(ValueError, match="limit >= 1"):
+    with pytest.raises(ValueError, match=re.escape(f"LEVEL_MAX = {LEVEL_MAX}, got [1, {limit}]")):
         check(limit)
 
 
