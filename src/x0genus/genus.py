@@ -6,9 +6,10 @@ The genus is assembled from four multiplicative quantities:
 
 where mu is the index of the level-N congruence subgroup in SL2(Z), nu2 and
 nu3 count solutions in Z/NZ of x^2 + 1 = 0 and x^2 + x + 1 = 0, and nu_inf
-counts cusps.  Each has a closed form over the prime factorization of N;
-the test suite checks them against brute-force counts (exhaustive residue
-scans and divisor sums).
+counts cusps.  Each has a closed form over the prime factorization of N,
+and breakdown_from_factorization, the one scalar routine, evaluates all
+four in one pass over the factors; the test suite checks it against
+brute-force counts (exhaustive residue scans and divisor sums).
 
 All arithmetic is integer-exact: the genus is computed from the identity
 12*(g - 1) = mu - 3*nu2 - 4*nu3 - 6*nu_inf, whose left side must be
@@ -79,52 +80,6 @@ class GenusBreakdown:
             raise ConsistencyError(f"breakdown identity fails at n={self.n}")
 
 
-def mu(f: Factorization) -> int:
-    """Index of the level-n subgroup: prod (p+1) * p**(e-1)."""
-    m = 1
-    for p, e in f.factors:
-        m *= (p + 1) * p ** (e - 1)
-    return m
-
-
-def nu2(f: Factorization) -> int:
-    """Solutions of x^2 + 1 = 0 in Z/nZ.
-
-    Zero when 4 | n or some prime factor is 3 mod 4; otherwise 2**s with
-    s the number of prime factors that are 1 mod 4.  The prime 2 (to the
-    first power) neither kills the count nor contributes a factor of 2.
-    """
-    count = 1
-    for p, e in f.factors:
-        if p == 2:
-            if e >= 2:
-                return 0
-        elif p % 4 == 3:
-            return 0
-        else:
-            count *= 2
-    return count
-
-
-def nu3(f: Factorization) -> int:
-    """Solutions of x^2 + x + 1 = 0 in Z/nZ.
-
-    Zero when 9 | n or some prime factor is 2 mod 3; otherwise 2**t with
-    t the number of prime factors that are 1 mod 3.  The prime 3 itself
-    behaves like 2 in nu2: only its square kills the count.
-    """
-    count = 1
-    for p, e in f.factors:
-        if p == 3:
-            if e >= 2:
-                return 0
-        elif p % 3 == 2:
-            return 0
-        else:
-            count *= 2
-    return count
-
-
 def theta(p: int, r: int) -> int:
     """Cusp count contribution of one prime power p**r.
 
@@ -137,20 +92,31 @@ def theta(p: int, r: int) -> int:
     return (p + 1) * p ** (r // 2 - 1)
 
 
-def nu_infinity(f: Factorization) -> int:
-    """Number of cusps: prod theta(p, e) over the factorization."""
-    count = 1
-    for p, e in f.factors:
-        count *= theta(p, e)
-    return count
-
-
 def breakdown_from_factorization(f: Factorization) -> GenusBreakdown:
-    """The breakdown of f.n; GenusBreakdown raises if 12 does not divide the numerator."""
-    m = mu(f)
-    n2 = nu2(f)
-    n3 = nu3(f)
-    ni = nu_infinity(f)
+    """The breakdown of f.n from its closed forms, in one pass over the factors.
+
+    mu = prod (p+1) * p**(e-1) is the index of the level-n subgroup, and
+    nu_inf = prod theta(p, e) the number of cusps.  nu2, the number of
+    solutions of x^2 + 1 = 0 in Z/nZ, is 0 when 4 | n or some prime factor
+    is 3 mod 4, and otherwise 2**s with s the number of prime factors that
+    are 1 mod 4; the prime 2 to the first power neither kills the count nor
+    doubles it.  nu3, the number of solutions of x^2 + x + 1 = 0, is 0 when
+    9 | n or some prime factor is 2 mod 3, and otherwise 2**t with t the
+    number of prime factors that are 1 mod 3; the prime 3 behaves like 2 in
+    nu2.  GenusBreakdown raises if 12 does not divide the numerator.
+    """
+    m = n2 = n3 = ni = 1
+    for p, e in f.factors:
+        m *= (p + 1) * p ** (e - 1)
+        ni *= theta(p, e)
+        if p == 2 and e >= 2 or p % 4 == 3:
+            n2 = 0
+        elif p != 2:
+            n2 *= 2
+        if p == 3 and e >= 2 or p % 3 == 2:
+            n3 = 0
+        elif p != 3:
+            n3 *= 2
     twelve_g = m - 3 * n2 - 4 * n3 - 6 * ni + 12
     return GenusBreakdown(f.n, m, n2, n3, ni, twelve_g // 12)
 

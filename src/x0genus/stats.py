@@ -15,8 +15,9 @@ g0(N) = 1 (mod ell) is
     P(ell) = 1 - (1 - 1/ell^3) prod (1 - 1/(s^2 + s)),
 
 the product over primes s = -1 (mod ell).  Truncating the product at
-prime_limit under-counts P(ell) by at most 1/prime_limit, so exact_value
-plus truncation_error is a certified upper bound for the true density.
+L = prime_limit under-counts P(ell) by at most 1/(ell*L) + 1/L^2 (proved in
+residue_density_exact), so exact_value plus truncation_error is a
+certified upper bound for the true density.
 For squarefree N the cusp count is a power of two, which biases g0(N)
 toward the classes {1 - 2^k mod ell}; histograms expose that bias.  The
 table of density bounds and the P(ell) < 3/ell^2 certificate that the

@@ -1,8 +1,8 @@
 """Closed forms for mu, nu2, nu3, nu_inf, and the assembled genus.
 
-Three routes must agree: scalar evaluation over a trial-division
-factorization, the vectorized block sieve, and definition-level oracles
-(exhaustive residue scans, divisor sums).
+Three routes must agree: breakdown_from_factorization over the
+Miller-Rabin and Pollard-Brent factorization, the vectorized block sieve,
+and definition-level oracles (exhaustive residue scans, divisor sums).
 """
 
 import re
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import x0genus.genus as genus_module
-from x0genus.arith import Factorization, factorize, primes_up_to
+from x0genus.arith import Factorization, primes_up_to
 from x0genus.genus import (
     LEVEL_MAX,
     PERIOD,
@@ -26,10 +26,6 @@ from x0genus.genus import (
     breakdown_from_factorization,
     genus,
     iter_blocks,
-    mu,
-    nu2,
-    nu3,
-    nu_infinity,
     theta,
 )
 import oracles
@@ -100,9 +96,9 @@ def test_identity_holds_on_range():
 
 def test_nu2_nu3_against_residue_scans():
     for n in range(1, 2000):
-        f = factorize(n)
-        assert nu2(f) == nu2_brute(n)
-        assert nu3(f) == nu3_brute(n)
+        b = genus(n)
+        assert b.nu2 == nu2_brute(n)
+        assert b.nu3 == nu3_brute(n)
 
 
 def test_mu_and_nu_inf_against_divisor_sums():
@@ -116,7 +112,7 @@ def test_mu_and_nu_inf_against_divisor_sums():
 
 def test_nu_infinity_brute_matches_closed_form():
     for n in range(1, 300):
-        assert nu_infinity(factorize(n)) == nu_infinity_brute(n)
+        assert genus(n).nu_inf == nu_infinity_brute(n)
 
 
 def test_brute_ceiling(monkeypatch):
@@ -126,8 +122,8 @@ def test_brute_ceiling(monkeypatch):
         nu2_brute(0)
     with pytest.raises(ValueError):
         nu3_brute(51, ceiling=50)
-    assert nu3_brute(49, ceiling=50) == nu3(factorize(49))
-    assert nu2_brute(51, ceiling=100) == nu2(factorize(51))
+    assert nu3_brute(49, ceiling=50) == genus(49).nu3
+    assert nu2_brute(51, ceiling=100) == genus(51).nu2
 
 
 def test_scalar_matches_block_low_and_high():
