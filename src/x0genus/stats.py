@@ -37,8 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import FACTOR_LIMIT, factorize, multiples, primes_in_progression, primes_up_to
-from .genus import LEVEL_MAX, ConsistencyError, GenusBlock, iter_blocks
+from .arith import FACTOR_LIMIT, factorize, primes_in_progression, primes_up_to
+from .genus import LEVEL_MAX, GenusBlock, iter_blocks
 
 AVG_RATIO_TARGET = 5.0 / (4.0 * pi**2)  # limit of (1/B) sum g0(N)/N
 
@@ -267,9 +267,10 @@ def residue_density_exact(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> R
     ell, so the k-th of them is at least L + k*ell, and they add at most
     sum_{k >= 1} 1/(L + k*ell)^2 <= integral_0^inf dx/(L + x*ell)^2
     = 1/(ell*L).  So truncation_error = 1/(ell*L) + 1/L^2 holds for every
-    L >= 1 and every ell; a limit below 2, which lists no prime, is
-    refused.  The error matters: the certified table bound for ell = 23 is
-    only about 2e-8 above the true density.
+    L >= 1 and every ell.  The primes s are sieved from their class alone;
+    a limit below 2, which lists no prime, is refused, and so is one above
+    PRIME_LIMIT_MAX, before any sieving.  The error matters: the certified
+    table bound for ell = 23 is only about 2e-8 above the true density.
     """
     _require_odd_prime(ell)
     if prime_limit < 2:
@@ -369,29 +370,6 @@ def residue_histogram(ell: int, bound: int) -> ResidueHistogram:
         two_primitive_root=primitive,
         enrichment_holds=enrichment,
     )
-
-
-def restricted_congruence_check(ell: int, bound: int) -> list[int]:
-    """Violations of g0(N) = 1 - nu_inf/2 (mod ell) on the restricted levels.
-
-    Restricted means N divisible by some prime q = -1 (mod 12*ell); such a
-    factor forces nu2 = nu3 = 0 and 12*ell | mu, leaving only the cusp
-    term.  Expected empty.
-    """
-    _require_odd_prime(ell)
-    qs = primes_in_progression(12 * ell, 12 * ell - 1, bound)
-    # g0 - 1 + nu_inf // 2 lies in [-1, N), so for an ell above LEVEL_MAX,
-    # which may not fit int64, reduction mod LEVEL_MAX finds the same zeros
-    m = min(ell, LEVEL_MAX)
-
-    def violations(blk):
-        sel = np.zeros(len(blk), dtype=bool)
-        sel[multiples(blk.lo, blk.hi, qs)[0]] = True
-        if np.any(blk.nu_inf[sel] % 2):
-            raise ConsistencyError("odd cusp count on a level with a factor = -1 mod 12*ell")
-        return blk.where(sel & ((blk.genus - 1 + blk.nu_inf // 2) % m != 0))
-
-    return [n for blk in iter_blocks(1, bound) for n in violations(blk)]
 
 
 def squarefree_fraction(bound: int) -> float:

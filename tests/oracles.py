@@ -26,7 +26,11 @@ families from a factorization (ParityFamily, _matching_families and
 even_genus_family), which family_members is checked against; the count of
 even attained values (even_attained_count); and the certified density
 bounds that criterion 09 reads (DENSITY_BOUND_TABLE and
-bound_3_over_ell_squared).
+bound_3_over_ell_squared).  So are the filter of the whole prime list
+that primes_in_progression was before it sieved its class alone
+(primes_in_progression_filter), and the congruence the paper states for
+the levels with a prime factor = -1 (mod 12*ell)
+(restricted_congruence_check), which no command or gate reads.
 """
 
 from __future__ import annotations
@@ -39,16 +43,18 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from x0genus.arith import Factorization, factorize, primes_up_to
+from x0genus.arith import Factorization, factorize, multiples, primes_in_progression, primes_up_to
 from x0genus.bounds import UPPER_BOUND_COEFF
 from x0genus.genus import (
+    LEVEL_MAX,
+    ConsistencyError,
     GenusBlock,
     GenusBreakdown,
     breakdown_from_factorization,
     iter_blocks,
     theta,
 )
-from x0genus.stats import DEFAULT_PRIME_LIMIT, residue_density_exact
+from x0genus.stats import DEFAULT_PRIME_LIMIT, _require_odd_prime, residue_density_exact
 from x0genus.values import EXCEPTIONAL_EVEN_LEVELS, attained_genera
 
 # Exhaustive residue scans are O(n); refuse far-too-large inputs instead of
@@ -574,3 +580,43 @@ def bound_3_over_ell_squared(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -
     """Certify P(ell) < 3/ell^2, truncation error included."""
     d = residue_density_exact(ell, prime_limit)
     return d.exact_value + d.truncation_error < 3.0 / ell**2
+
+
+# ---------------------------------------------------------------------------
+# primes of one residue class, and the congruence on the levels they divide
+
+
+def primes_in_progression_filter(modulus: int, residue: int, limit: int) -> np.ndarray:
+    """The primes p <= limit with p = residue (mod modulus), by filtering all of them.
+
+    The route primes_in_progression took before it sieved the class
+    alone, over the whole-range bool sieve; a modulus past int64 is
+    reduced in Python ints.
+    """
+    ps = primes_up_to_dense(limit)
+    if modulus < 2**63:
+        return ps[ps % modulus == residue % modulus]
+    return np.array([p for p in ps.tolist() if p % modulus == residue % modulus], dtype=np.int64)
+
+
+def restricted_congruence_check(ell: int, bound: int) -> list[int]:
+    """Violations of g0(N) = 1 - nu_inf/2 (mod ell) on the restricted levels.
+
+    Restricted means N divisible by some prime q = -1 (mod 12*ell); such a
+    factor forces nu2 = nu3 = 0 and 12*ell | mu, leaving only the cusp
+    term.  Expected empty.
+    """
+    _require_odd_prime(ell)
+    qs = primes_in_progression(12 * ell, 12 * ell - 1, bound)
+    # g0 - 1 + nu_inf // 2 lies in [-1, N), so for an ell above LEVEL_MAX,
+    # which may not fit int64, reduction mod LEVEL_MAX finds the same zeros
+    m = min(ell, LEVEL_MAX)
+
+    def violations(blk):
+        sel = np.zeros(len(blk), dtype=bool)
+        sel[multiples(blk.lo, blk.hi, qs)[0]] = True
+        if np.any(blk.nu_inf[sel] % 2):
+            raise ConsistencyError("odd cusp count on a level with a factor = -1 mod 12*ell")
+        return blk.where(sel & ((blk.genus - 1 + blk.nu_inf // 2) % m != 0))
+
+    return [n for blk in iter_blocks(1, bound) for n in violations(blk)]

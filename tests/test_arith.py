@@ -16,13 +16,13 @@ from x0genus.arith import (
     FACTOR_LIMIT,
     PRIME_BLOCK,
     PRIME_LIMIT_MAX,
-    PROGRESSION_CHUNK,
     Factorization,
     factorize,
     multiples,
     primes_in_progression,
     primes_up_to,
 )
+from x0genus.stats import residue_density_exact
 from oracles import (
     DENSITY_BOUND_TABLE,
     build_spf_table,
@@ -30,6 +30,7 @@ from oracles import (
     factor_dumb,
     factorize_trial,
     phi_table,
+    primes_in_progression_filter,
     primes_up_to_dense,
 )
 from test_cli import checkout_env
@@ -175,6 +176,10 @@ def test_primes_up_to_refuses_above_its_ceiling(monkeypatch):
             primes_up_to(limit)
         with pytest.raises(ValueError, match="PRIME_LIMIT_MAX"):
             primes_in_progression(4, 3, limit)
+        with pytest.raises(ValueError, match="PRIME_LIMIT_MAX"):
+            primes_in_progression(2**70, 7, limit)  # the one-candidate route too
+        with pytest.raises(ValueError, match="PRIME_LIMIT_MAX"):
+            residue_density_exact(3, limit)
 
 
 def test_primes_up_to_is_read_only():
@@ -301,18 +306,67 @@ def test_sieve_memory_stays_near_the_result():
     assert got["densities"] == DENSITIES_AT_1E8
 
 
-def test_primes_in_progression_across_chunks(monkeypatch):
-    for chunk in (PROGRESSION_CHUNK, 7):
-        monkeypatch.setattr(arith, "PROGRESSION_CHUNK", chunk)
-        for limit in (1, 2, 100, 10**6):
-            ps = primes_up_to(limit)
-            # a modulus above the limit takes its own route, checked here too
-            for modulus, residue in ((1, 0), (3, 2), (4, 3), (12, -1), (276, 275), (1009, 1008),
-                                     (10**7, 3), (2**62, -1)):
+_CLASS_SIEVE = """
+import json, resource
+from x0genus import arith, bounds, genus, stats, values
+limits = []
+real = arith.primes_up_to
+def recording(limit):
+    limits.append(limit)
+    return real(limit)
+for module in (arith, bounds, genus, stats, values):
+    if getattr(module, "primes_up_to", None) is real:
+        module.primes_up_to = recording
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+before = peak()
+nbytes = arith.primes_in_progression(3, 2, 10**8).nbytes
+sieved = peak()
+stats.residue_density_exact(3, 10**8)
+print(json.dumps({"sieve": sieved - before, "density": peak() - before, "nbytes": nbytes,
+                  "limits": limits}))
+"""
+
+
+def test_density_sieves_only_its_class():
+    """The primes = 2 (mod 3) up to 1e8 cost about their own memory.
+
+    A fresh interpreter, so no earlier test has set the peak (ru_maxrss is
+    in KiB on Linux).  No prime list longer than the sieving primes up to
+    isqrt(1e8) is asked for.  The class sieve raises peak RSS by its result
+    and its block buffers, where listing every prime up to 1e8 first took
+    twice the class, and four times with the filter's temporaries.  The
+    density's float product then holds three arrays of the class's length
+    at once (the primes as floats, s*s + s and its reciprocal), so the
+    whole call grows by about three times the class, against five when it
+    filtered the whole prime list.
+    """
+    argv = [sys.executable, "-c", _CLASS_SIEVE]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=checkout_env(), check=True)
+    got = json.loads(proc.stdout)
+    assert all(limit <= isqrt(10**8) for limit in got["limits"]), got["limits"]
+    assert got["sieve"] < 1.5 * got["nbytes"], got
+    assert got["density"] < 3.5 * got["nbytes"], got
+
+
+# the classes (modulus, residue) checked against the filter: even and odd
+# moduli, a class holding only the prime gcd(residue, modulus) (or none),
+# and moduli past the limit and past int64
+PROGRESSION_CLASSES = [
+    (1, 0), (2, 1), (2, 0), (3, 2), (3, 0), (4, 2), (4, 3), (6, 3), (9, 3), (10, 5), (12, 1),
+    (12, -1), (36, 35), (276, 275), (1009, 1008), (10**7, 3), (2**62, -1), (2**70, 7),
+]
+
+
+def test_primes_in_progression_matches_the_filter(monkeypatch):
+    # 61-flag blocks put block edges all through every class
+    for block in (PRIME_BLOCK, 61):
+        monkeypatch.setattr(arith, "PRIME_BLOCK", block)
+        for limit in (0, 1, 2, 3, 100, 10**6 + 7):
+            for modulus, residue in PROGRESSION_CLASSES:
                 got = primes_in_progression(modulus, residue, limit)
                 assert got.dtype == np.int64
-                assert np.array_equal(got, ps[ps % modulus == residue % modulus])
-    assert primes_up_to(10**6).size > PROGRESSION_CHUNK  # the real chunk is crossed
+                expected = primes_in_progression_filter(modulus, residue, limit)
+                assert np.array_equal(got, expected), (block, limit, modulus, residue)
 
 
 def test_primes_in_progression():

@@ -59,6 +59,19 @@ def test_scan_equality_levels_up_to_1e4():
 def test_expected_equality_levels_window():
     assert expected_equality_levels(200, 5000) == [1369, 3721]
     assert expected_equality_levels(1, 168) == []
+    # isqrt(hi) at, below and just above the modulus 12, and a window of one level
+    assert expected_equality_levels(1, 143) == expected_equality_levels(1, 144) == []
+    assert expected_equality_levels(169, 169) == [169]
+    assert expected_equality_levels(170, 1368) == []
+
+
+def test_upper_bound_margin_at_the_primorial_of_31():
+    # the sampled level closest to the upper bound, as bound_reports' docstring states
+    n = 200_560_490_130
+    assert factorize(n).primes == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    g = genus(n).genus
+    assert g == 66_886_040_577
+    assert round(g / upper_bound(n), 3) == 0.954
 
 
 def test_mu_over_12_check_empty(genus_1e6):

@@ -527,7 +527,7 @@ ONE_PASS = {
     "zeta_identity_check": (lambda: stats.zeta_identity_check(2.0, H), (1, H)),
     "residue_density_empirical": (lambda: stats.residue_density_empirical(7, H), (1, H)),
     "residue_histogram": (lambda: stats.residue_histogram(7, H), (1, H)),
-    "restricted_congruence_check": (lambda: stats.restricted_congruence_check(3, H), (1, H)),
+    "restricted_congruence_check": (lambda: oracles.restricted_congruence_check(3, H), (1, H)),
 }
 
 
@@ -541,7 +541,7 @@ def test_whole_range_scan_sieves_once(monkeypatch, name):
         passes.append((lo, hi))
         return original(lo, hi, *args, **kwargs)
 
-    for module in (genus_module, bounds, values, stats, cli_module):
+    for module in (genus_module, bounds, values, stats, cli_module, oracles):
         for key, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, key, counting)
@@ -564,7 +564,7 @@ BOUNDED = {
     "zeta_identity_check": (lambda b: stats.zeta_identity_check(2.0, b), 1),
     "residue_density_empirical": (lambda b: stats.residue_density_empirical(7, b), 1),
     "residue_histogram": (lambda b: stats.residue_histogram(7, b), 1),
-    "restricted_congruence_check": (lambda b: stats.restricted_congruence_check(3, b), 1),
+    "restricted_congruence_check": (lambda b: oracles.restricted_congruence_check(3, b), 1),
 }
 
 

