@@ -19,7 +19,8 @@ ConsistencyError rather than rounding.
 For batch ranges there is a segmented, numpy-vectorized sieve
 (breakdown_block / iter_blocks) that computes all five quantities for every
 level in a window, up to LEVEL_MAX.  One routine, _lift, holds the rule for
-how a prime power p**j changes mu, nu2, nu3 and nu_inf; the pre-sieved
+how a prime power p**j changes mu, nu2, nu3 and nu_inf, and multiplies p
+into the product of what has been stripped from each level; the pre-sieved
 period of the powers of 2, 3, 5 and 7 dividing 5040, the small-prime pass
 of strided slices, the batched large-prime passes and the cofactor pass
 only list the levels it applies to.  iter_blocks cuts a range into
@@ -171,30 +172,27 @@ def _require_levels(lo: int, hi: int) -> None:
 def _require_primes_up_to(primes: np.ndarray, root: int) -> None:
     """Refuse a prime array that misses a prime <= root.
 
-    `primes` is taken to hold every prime up to its last entry.  The first
-    integer past that entry with no factor among them is then the next
-    prime, so the loop below stops at a missing prime or runs past root
-    without one.  Trying the primes up to isqrt(root) settles every composite.  An
-    array that stops less than one prime gap short of root, as
-    primes_up_to(root) does whenever root is not prime, costs a few dozen
-    tests.
+    `primes` is taken to hold every prime up to its last entry, so the
+    first prime past that entry is the one it misses, and the loop below
+    ends there: it tests at most one prime gap, as primes_up_to(root)
+    leaves whenever root is not prime.
     """
     last = int(primes[-1]) if len(primes) else 1
-    divisors = primes[: np.searchsorted(primes, isqrt(root), side="right")]
     for c in range(last + 1, root + 1):
-        if not np.any(c % divisors == 0):
+        if factorize(c).factors == ((c, 1),):
             raise ValueError(f"primes stop at {last}, short of the prime {c} <= isqrt(hi)")
 
 
-def _lift(mu, nu2, nu3, nu_inf, rem, idx, p, j: int) -> None:
+def _lift(state, idx, p, j: int) -> None:
     """Apply the prime power p**j at the window indices idx, in place.
 
-    p is one prime or one per index, and p**(j-1) is already applied there.
-    mu gains p + 1 at j = 1 and p at every higher j.  At j = 1 nu2 gains
-    3 - p % 4 and nu3 (p + 1) % 3: 2 for p = 1 mod 4 (mod 3), 0 for p = 3
-    mod 4 (2 mod 3), 1 for p = 2 (p = 3).  At j = 2 nu2 gains p % 2 and nu3
-    sign(p % 3), 0 only for p = 2 and p = 3.  nu_inf's theta(p, j-1)
-    becomes theta(p, j), and rem loses p.
+    state is the arrays (mu, nu2, nu3, nu_inf, stripped), p is one prime or
+    one per index, and p**(j-1) is already applied there.  mu gains p + 1
+    at j = 1 and p at every higher j.  At j = 1 nu2 gains 3 - p % 4 and nu3
+    (p + 1) % 3: 2 for p = 1 mod 4 (mod 3), 0 for p = 3 mod 4 (2 mod 3), 1
+    for p = 2 (p = 3).  At j = 2 nu2 gains p % 2 and nu3 sign(p % 3), 0
+    only for p = 2 and p = 3.  nu_inf's theta(p, j-1) becomes theta(p, j),
+    and stripped gains p.
 
     idx is a slice, whose indices are distinct, or an index array.  A slice
     is updated in place through a view.  An array goes through ufunc.at,
@@ -202,6 +200,7 @@ def _lift(mu, nu2, nu3, nu_inf, rem, idx, p, j: int) -> None:
     divide, gets every update; the factors are ints because bool ones send
     ufunc.at down a slow path.
     """
+    mu, nu2, nu3, nu_inf, stripped = state
     if isinstance(idx, slice):
         def at(ufunc, a, f):
             view = a[idx]
@@ -221,27 +220,23 @@ def _lift(mu, nu2, nu3, nu_inf, rem, idx, p, j: int) -> None:
             at(np.multiply, nu3, np.sign(p % 3))
         at(np.floor_divide, nu_inf, theta(p, j - 1))
     at(np.multiply, nu_inf, theta(p, j))
-    at(np.floor_divide, rem, p)
+    at(np.multiply, stripped, p)
 
 
 def _period() -> np.ndarray:
     """The pre-sieved powers over two periods, as a read-only (5, 2*PERIOD) array.
 
-    Columns i and PERIOD + i hold mu, nu2, nu3 and nu_inf as the powers in
-    PRESIEVED leave them at a level N = i (mod PERIOD), and gcd(N, PERIOD):
-    a power p**j, j <= PRESIEVED[p], divides N exactly when it divides i,
-    and 0 is divisible by all of them.  _lift applies them as in the block
-    sieve, to a rem that starts at PERIOD and so ends at PERIOD / gcd(N,
+    Columns i and PERIOD + i hold the five arrays of _lift's state as the
+    powers in PRESIEVED leave them at a level N = i (mod PERIOD): a power
+    p**j, j <= PRESIEVED[p], divides N exactly when it divides i, and 0 is
+    divisible by all of them, so the product stripped ends at gcd(N,
     PERIOD).  With two periods side by side, a whole period starting at any
     phase is one slice.
     """
     table = np.ones((5, PERIOD), dtype=np.int64)
-    mu_a, nu2_a, nu3_a, nui_a, rem = table
-    rem[:] = PERIOD
     for p, e in PRESIEVED.items():
         for j in range(1, e + 1):
-            _lift(mu_a, nu2_a, nu3_a, nui_a, rem, slice(0, PERIOD, p**j), p, j)
-    rem[:] = PERIOD // rem
+            _lift(table, slice(0, PERIOD, p**j), p, j)
     table = np.concatenate([table, table], axis=1)
     table.flags.writeable = False
     return table
@@ -254,18 +249,19 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     """Compute all five quantities for every level in [lo, hi] at once.
 
     A segmented multiplicative sieve: _lift applies every power p**j of
-    every prime p <= sqrt(hi) at the levels it divides, and what remains of
-    a level is then 1 or one prime above sqrt(hi), applied last.  The
-    powers p**e in PRESIEVED come first, from a tiled copy of the period
-    sieved at import, and rem starts as each level over its gcd with
-    PERIOD.  Small primes, p <= SMALL_PRIME_LIMIT, hit many levels each
-    and go in one power at a time, from p**(e+1) for a pre-sieved p and
-    from p for the others, as in-place updates of strided slices.  Large
-    primes hit a window a few times or not at all, so multiples lists the
-    hits of all of them at once, one pass per exponent j over the primes
-    whose p**(j-1) divides some level.  `primes`, when given, must hold
-    every prime up to isqrt(hi) (more are ignored); one that stops short
-    raises ValueError, and so does a range _require_levels refuses.
+    every prime p <= sqrt(hi) at the levels it divides, and multiplies the
+    product stripped from each level by p.  One division of the levels by
+    that product then leaves 1 or one prime above sqrt(hi), applied last.
+    The powers p**e in PRESIEVED come first, from a tiled copy of the
+    period sieved at import.  Small primes, p <= SMALL_PRIME_LIMIT, hit
+    many levels each and go in one power at a time, from p**(e+1) for a
+    pre-sieved p and from p for the others, as in-place updates of strided
+    slices.  Large primes hit a window a few times or not at all, so
+    multiples lists the hits of all of them at once, one pass per exponent
+    j over the primes whose p**(j-1) divides some level.  `primes`, when
+    given, must hold every prime up to isqrt(hi) (more are ignored); one
+    that stops short raises ValueError, and so does a range _require_levels
+    refuses.
 
     Every update is exact integer arithmetic, each division exact, so the
     order in which primes, or the hits of one pass, are applied cannot
@@ -280,22 +276,22 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     n_small = np.searchsorted(primes, SMALL_PRIME_LIMIT, side="right")
     size = hi - lo + 1
     # the pre-sieved powers, copied in a period at a time from the phase of
-    # lo, leave rem = N / gcd(N, PERIOD); the other small primes follow one
-    # at a time, one strided slice per power p**j
+    # lo, leave stripped = gcd(N, PERIOD); the other small primes follow
+    # one at a time, one strided slice per power p**j.  stripped is not a
+    # row of quad, so the block's arrays do not keep it alive.
     quad = np.empty((4, size), dtype=np.int64)
-    rem = np.empty(size, dtype=np.int64)
+    stripped = np.empty(size, dtype=np.int64)
     offset = lo % PERIOD
     for k in range(0, size, PERIOD):
         phase = slice(offset, offset + min(PERIOD, size - k))
         quad[:, k : k + PERIOD] = _PERIOD[:4, phase]
-        rem[k : k + PERIOD] = _PERIOD[4, phase]
-    np.floor_divide(np.arange(lo, hi + 1, dtype=np.int64), rem, out=rem)
-    mu_a, nu2_a, nu3_a, nui_a = quad
+        stripped[k : k + PERIOD] = _PERIOD[4, phase]
+    state = (*quad, stripped)
     for p in primes[:n_small].tolist():
         j = PRESIEVED.get(p, 0) + 1
         pj = p**j
         while pj <= hi and (first := -lo % pj) < size:
-            _lift(mu_a, nu2_a, nu3_a, nui_a, rem, slice(first, size, pj), p, j)
+            _lift(state, slice(first, size, pj), p, j)
             pj, j = pj * p, j + 1
 
     # large primes all at once, one pass per exponent j
@@ -303,7 +299,7 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     pj, j = large, 1
     while large.size:
         idx, owner, hit = multiples(lo, hi, pj)
-        _lift(mu_a, nu2_a, nu3_a, nui_a, rem, idx, large[owner], j)
+        _lift(state, idx, large[owner], j)
         # p**(j+1) can divide a level only if p**j did
         large, pj = large[hit], pj[hit]
         keep = pj <= hi // large
@@ -311,8 +307,11 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
         j += 1
 
     # leftover cofactor is 1 or a prime > sqrt(hi), always to the first power
+    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    rem //= stripped
     idx = np.nonzero(rem > 1)[0]
-    _lift(mu_a, nu2_a, nu3_a, nui_a, rem, idx, rem[idx], 1)
+    _lift(state, idx, rem[idx], 1)
+    mu_a, nu2_a, nu3_a, nui_a = quad
 
     twelve_g = mu_a - 3 * nu2_a - 4 * nu3_a - 6 * nui_a + 12
     if np.any(twelve_g % 12):

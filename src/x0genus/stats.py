@@ -276,7 +276,13 @@ def residue_density_exact(ell: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> R
     if prime_limit < 2:
         raise ValueError(f"need prime_limit >= 2, got {prime_limit}")
     s = primes_in_progression(ell, ell - 1, prime_limit).astype(np.float64)
-    product = float(np.prod(1.0 - 1.0 / (s * s + s)))
+    # 1 - 1/(s*s + s) in place: at most two arrays as long as the class
+    t = s * s
+    t += s
+    del s
+    np.divide(1.0, t, out=t)
+    np.subtract(1.0, t, out=t)
+    product = float(np.prod(t))
     # product lies in [1/2, 1], so 1 - product is exact (Sterbenz) and the
     # ell^-3 term survives when the product rounds to 1
     exact = (1.0 - product) + product * float(ell) ** -3

@@ -18,6 +18,7 @@ congruence g0(N) = 1 (mod 2**(s-2)), s the number of those primes."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
@@ -45,20 +46,12 @@ def scan_limit_for(x: int) -> int:
     return 12 * x + 18 * s + 40 + 1
 
 
-def _largest_x_within(capacity: int) -> int:
-    """The largest x with scan_limit_for(x) <= capacity, by bisection.
-
-    scan_limit_for increases with x, is 41 at x = 0 and exceeds x.
-    """
-    lo, hi = 0, capacity
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if scan_limit_for(mid) <= capacity else (lo, mid)
-    return lo
-
-
-# the largest x that missed_values and attained_genera accept
-MISSED_MAX = _largest_x_within(DEFAULT_SCAN_CAPACITY)
+# the largest x that missed_values and attained_genera accept: the largest
+# x with scan_limit_for(x) <= DEFAULT_SCAN_CAPACITY, found by bisection
+# over range(DEFAULT_SCAN_CAPACITY), as scan_limit_for increases with x
+# and exceeds it
+MISSED_MAX = bisect_right(range(DEFAULT_SCAN_CAPACITY), DEFAULT_SCAN_CAPACITY,
+                          key=scan_limit_for) - 1
 
 
 @dataclass(frozen=True)

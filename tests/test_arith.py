@@ -335,17 +335,17 @@ def test_density_sieves_only_its_class():
     isqrt(1e8) is asked for.  The class sieve raises peak RSS by its result
     and its block buffers, where listing every prime up to 1e8 first took
     twice the class, and four times with the filter's temporaries.  The
-    density's float product then holds three arrays of the class's length
-    at once (the primes as floats, s*s + s and its reciprocal), so the
-    whole call grows by about three times the class, against five when it
-    filtered the whole prime list.
+    density's float product is evaluated in place, so it holds at most two
+    arrays of the class's length at once (the primes as floats and 1 -
+    1/(s*s + s)), and the whole call grows by about twice the class,
+    against five when it filtered the whole prime list.
     """
     argv = [sys.executable, "-c", _CLASS_SIEVE]
     proc = subprocess.run(argv, capture_output=True, text=True, env=checkout_env(), check=True)
     got = json.loads(proc.stdout)
     assert all(limit <= isqrt(10**8) for limit in got["limits"]), got["limits"]
     assert got["sieve"] < 1.5 * got["nbytes"], got
-    assert got["density"] < 3.5 * got["nbytes"], got
+    assert got["density"] < 2.5 * got["nbytes"], got
 
 
 # the classes (modulus, residue) checked against the filter: even and odd

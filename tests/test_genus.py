@@ -191,9 +191,18 @@ def test_block_refuses_primes_short_of_sqrt_hi():
         breakdown_block(4, 8, primes_up_to(1))
 
 
+def test_prime_check_spans_the_largest_gap_below_1e8():
+    # 47326693 -> 47326913 is the largest prime gap below 1e8: every root
+    # inside it is covered, and the first one past it is not
+    primes = primes_up_to(47326912)
+    assert primes[-1] == 47326693
+    genus_module._require_primes_up_to(primes, 47326912)
+    with pytest.raises(ValueError, match="short of the prime 47326913 "):
+        genus_module._require_primes_up_to(primes, 47326913)
+
+
 # the primes up to isqrt(hi) end below it unless it is prime: at 999983
-# for isqrt(hi) = 10**6, and below 1009**2, which only the divisor
-# 1009 = isqrt(isqrt(hi)) shows composite
+# for isqrt(hi) = 10**6, and below the square isqrt(hi) = 1009**2
 @pytest.mark.parametrize("hi", [10**12 + 2**17, 1009**4])
 def test_block_accepts_primes_ending_in_a_prime_gap(hi):
     primes = primes_up_to(isqrt(hi))
@@ -314,14 +323,15 @@ def test_lift_on_a_slice_equals_lift_on_its_index_array(p, j):
     # powers of p already applied, as the sieve leaves it
     lo, size = p**j - 5, 3000
     state = np.ones((5, size), dtype=np.int64)
-    state[4] = np.arange(lo, lo + size)
     for i in range(1, j):
-        genus_module._lift(*state, slice(-lo % p**i, size, p**i), p, i)
+        genus_module._lift(tuple(state), slice(-lo % p**i, size, p**i), p, i)
     by_slice, by_index = state.copy(), state.copy()
-    genus_module._lift(*by_slice, slice(5, size, p**j), p, j)
-    genus_module._lift(*by_index, np.arange(5, size, p**j), p, j)
+    genus_module._lift(tuple(by_slice), slice(5, size, p**j), p, j)
+    genus_module._lift(tuple(by_index), np.arange(5, size, p**j), p, j)
     assert not np.array_equal(by_slice, state)
     assert np.array_equal(by_slice, by_index)
+    # stripped holds the powers of p applied: p**j at each hit
+    assert np.all(by_slice[4][5::p**j] == p**j)
 
 
 @pytest.mark.parametrize("base", [PERIOD, 198413 * PERIOD, 10**12 // PERIOD * PERIOD])

@@ -4,7 +4,8 @@ Every module of the package reads each name it imports, and the package's
 __init__ is its docstring alone, so each name has one import path.  Every
 top-level definition of the package is reached from what a command, a gate
 or the benchmark reads, so code that only tests read lives in
-tests/oracles.py.
+tests/oracles.py.  Every parameter of a function or lambda is read by its
+body, but for the few the benchmark still passes.
 """
 
 import ast
@@ -143,3 +144,45 @@ def test_an_unreached_definition_is_found(tmp_path):
     with open(tmp_path / "stats.py", "a", encoding="utf-8") as f:
         f.write("\n\ndef planted(n):\n    return factorize(n)\n")
     assert unreached(tmp_path) == ["stats.planted"]
+
+
+# parameters no body reads, kept because the benchmark (perfbench/) still
+# passes or reads them: its trace wrapper records iter_blocks' threads, and
+# its deep-windows workload calls check_bounds_range with threads=1
+UNREAD_BUT_KEPT = {
+    ("genus", "iter_blocks", "threads"),
+    ("bounds", "check_bounds_range", "threads"),
+}
+
+
+def unread_parameters(package: Path = PACKAGE) -> set[tuple[str, str, str]]:
+    """(module, function, name) of every parameter its function's body never reads.
+
+    A nested function's body counts as part of its enclosing one, so a
+    parameter a closure reads is read.
+    """
+    found = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found |= {(path.stem, name, p.arg) for p in params if p.arg not in read}
+    return found
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == UNREAD_BUT_KEPT
+
+
+def test_an_unread_parameter_is_found(tmp_path):
+    for path in MODULES:
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(tmp_path / "stats.py", "a", encoding="utf-8") as f:
+        f.write("\n\ndef planted(n, unused):\n    return factorize(n)\n")
+    assert unread_parameters(tmp_path) - UNREAD_BUT_KEPT == {("stats", "planted", "unused")}
