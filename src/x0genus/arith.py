@@ -189,14 +189,11 @@ def _sieve(limit: int, modulus: int = 1, residue: int = 0) -> np.ndarray:
     step = modulus * (1 + modulus % 2)
     c0 = residue if residue % 2 else residue + modulus
     odd = _sieve(isqrt(limit))[1:]
-    if step > 2:
-        odd = odd[step % odd != 0]
+    odd = odd[step % odd != 0]
     strides = odd.tolist()
     reach = (odd * odd + (step - 1 - c0)) // step  # flag of the first member >= p*p
-    first = reach  # the first strike; with step 2 that member is p*p itself
-    if step > 2:  # p divides c0 + i*step exactly when i = -c0/step (mod p)
-        inverse = np.array([pow(step, -1, p) for p in strides], dtype=np.int64)
-        first = reach + (-c0 * inverse - reach) % odd
+    inverse = np.array([pow(step, -1, p) for p in strides], dtype=np.int64)
+    first = reach + (-c0 * inverse - reach) % odd  # the first i >= reach with p | c0 + i*step
     size = 1.25506 * limit / log(limit)
     if modulus > 1:
         phi = modulus
@@ -253,6 +250,20 @@ def primes_in_progression(modulus: int, residue: int, limit: int) -> np.ndarray:
     c = g if g > 1 else residue
     prime = 2 <= c <= limit and c % modulus == residue and factorize(c).factors == ((c, 1),)
     return np.array([c] if prime else [], dtype=np.int64)
+
+
+def require_primes_up_to(primes: np.ndarray, bound: int) -> None:
+    """Refuse a prime array that misses a prime <= bound.
+
+    `primes` is taken to hold every prime up to its last entry, so the
+    first prime past that entry is the one it misses, and the loop below
+    ends there: it tests at most one prime gap, as primes_up_to(bound)
+    leaves whenever bound is not prime.
+    """
+    last = int(primes[-1]) if len(primes) else 1
+    for c in range(last + 1, bound + 1):
+        if factorize(c).factors == ((c, 1),):
+            raise ValueError(f"primes stop at {last}, short of the prime {c} <= {bound}")
 
 
 def multiples(lo: int, hi: int, steps: np.ndarray):

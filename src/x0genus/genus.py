@@ -19,12 +19,12 @@ ConsistencyError rather than rounding.
 For batch ranges there is a segmented, numpy-vectorized sieve
 (breakdown_block / iter_blocks) that computes all five quantities for every
 level in a window, up to LEVEL_MAX.  One routine, _lift, holds the rule for
-how a prime power p**j changes mu, nu2, nu3 and nu_inf, and multiplies p
-into the product of what has been stripped from each level; the pre-sieved
-period of the powers of 2, 3, 5 and 7 dividing 5040, the small-prime pass
-of strided slices, the batched large-prime passes and the cofactor pass
-only list the levels it applies to.  iter_blocks cuts a range into
-fixed-size segments and sieves them one after another in the calling
+how a prime power p**j changes mu, nu2, nu3 and nu_inf, and, before the
+cofactor pass, multiplies p into the product stripped from each level; the
+pre-sieved period of the powers of 2, 3, 5 and 7 dividing 5040, the
+small-prime pass of strided slices, the batched large-prime passes and the
+cofactor pass only list the levels it applies to.  iter_blocks cuts a range
+into fixed-size segments and sieves them one after another in the calling
 thread; every whole-range check is one plain loop over such a pass.
 """
 
@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import Factorization, factorize, multiples, primes_up_to
+from .arith import Factorization, factorize, multiples, primes_up_to, require_primes_up_to
 
 # Fixed segment width for batch scans.  It is a constant, not a parameter,
 # because some aggregates depend on where the blocks are cut: average_partial
@@ -169,30 +169,16 @@ def _require_levels(lo: int, hi: int) -> None:
         raise ValueError(f"need 1 <= lo <= hi <= LEVEL_MAX = {LEVEL_MAX}, got [{lo}, {hi}]")
 
 
-def _require_primes_up_to(primes: np.ndarray, root: int) -> None:
-    """Refuse a prime array that misses a prime <= root.
-
-    `primes` is taken to hold every prime up to its last entry, so the
-    first prime past that entry is the one it misses, and the loop below
-    ends there: it tests at most one prime gap, as primes_up_to(root)
-    leaves whenever root is not prime.
-    """
-    last = int(primes[-1]) if len(primes) else 1
-    for c in range(last + 1, root + 1):
-        if factorize(c).factors == ((c, 1),):
-            raise ValueError(f"primes stop at {last}, short of the prime {c} <= isqrt(hi)")
-
-
 def _lift(state, idx, p, j: int) -> None:
     """Apply the prime power p**j at the window indices idx, in place.
 
-    state is the arrays (mu, nu2, nu3, nu_inf, stripped), p is one prime or
-    one per index, and p**(j-1) is already applied there.  mu gains p + 1
+    state is the arrays (mu, nu2, nu3, nu_inf[, stripped]), p is one prime
+    or one per index, and p**(j-1) is already applied there.  mu gains p + 1
     at j = 1 and p at every higher j.  At j = 1 nu2 gains 3 - p % 4 and nu3
     (p + 1) % 3: 2 for p = 1 mod 4 (mod 3), 0 for p = 3 mod 4 (2 mod 3), 1
     for p = 2 (p = 3).  At j = 2 nu2 gains p % 2 and nu3 sign(p % 3), 0
     only for p = 2 and p = 3.  nu_inf's theta(p, j-1) becomes theta(p, j),
-    and stripped gains p.
+    and stripped, if state carries it, gains p.
 
     idx is a slice, whose indices are distinct, or an index array.  A slice
     is updated in place through a view.  An array goes through ufunc.at,
@@ -200,7 +186,7 @@ def _lift(state, idx, p, j: int) -> None:
     divide, gets every update; the factors are ints because bool ones send
     ufunc.at down a slow path.
     """
-    mu, nu2, nu3, nu_inf, stripped = state
+    mu, nu2, nu3, nu_inf, *stripped = state
     if isinstance(idx, slice):
         def at(ufunc, a, f):
             view = a[idx]
@@ -220,7 +206,8 @@ def _lift(state, idx, p, j: int) -> None:
             at(np.multiply, nu3, np.sign(p % 3))
         at(np.floor_divide, nu_inf, theta(p, j - 1))
     at(np.multiply, nu_inf, theta(p, j))
-    at(np.multiply, stripped, p)
+    if stripped:
+        at(np.multiply, stripped[0], p)
 
 
 def _period() -> np.ndarray:
@@ -250,8 +237,9 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
 
     A segmented multiplicative sieve: _lift applies every power p**j of
     every prime p <= sqrt(hi) at the levels it divides, and multiplies the
-    product stripped from each level by p.  One division of the levels by
-    that product then leaves 1 or one prime above sqrt(hi), applied last.
+    product stripped from each level by p.  Dividing the levels by that
+    product, into its own buffer, leaves 1 or one prime above sqrt(hi),
+    applied last to mu, nu2, nu3 and nu_inf alone.
     The powers p**e in PRESIEVED come first, from a tiled copy of the
     period sieved at import.  Small primes, p <= SMALL_PRIME_LIMIT, hit
     many levels each and go in one power at a time, from p**(e+1) for a
@@ -271,7 +259,7 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
     if primes is None:
         primes = primes_up_to(isqrt(hi))
     else:
-        _require_primes_up_to(primes, isqrt(hi))
+        require_primes_up_to(primes, isqrt(hi))
     primes = primes[: np.searchsorted(primes, isqrt(hi), side="right")]
     n_small = np.searchsorted(primes, SMALL_PRIME_LIMIT, side="right")
     size = hi - lo + 1
@@ -307,10 +295,9 @@ def breakdown_block(lo: int, hi: int, primes: np.ndarray | None = None) -> Genus
         j += 1
 
     # leftover cofactor is 1 or a prime > sqrt(hi), always to the first power
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    rem //= stripped
-    idx = np.nonzero(rem > 1)[0]
-    _lift(state, idx, rem[idx], 1)
+    cofactor = np.floor_divide(np.arange(lo, hi + 1, dtype=np.int64), stripped, out=stripped)
+    idx = np.nonzero(cofactor > 1)[0]
+    _lift(quad, idx, cofactor[idx], 1)
     mu_a, nu2_a, nu3_a, nui_a = quad
 
     twelve_g = mu_a - 3 * nu2_a - 4 * nu3_a - 6 * nui_a + 12

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import multiples, primes_up_to
+from .arith import multiples, primes_up_to, require_primes_up_to
 from .genus import iter_blocks
 
 # the most levels a scan for missed values may cover (time, not memory)
@@ -121,10 +121,11 @@ def family_members(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
 
     Enumerating members directly (primes and their powers) is far cheaper
     than classifying every level, and gives a route to parity that never
-    reads a factorization.  `primes` must hold every prime up to hi; only
-    the primes whose first power or whose higher powers can land in the
-    window are read.
+    reads a factorization.  `primes` must hold every prime up to hi, and
+    one that stops short raises ValueError; only the primes whose first
+    power or whose higher powers can land in the window are read.
     """
+    require_primes_up_to(primes, hi)
     member = np.zeros(hi - lo + 1, dtype=bool)
     member[[n - lo for n in EXCEPTIONAL_EVEN_LEVELS if lo <= n <= hi]] = True
     for m in (1, 2, 4):
@@ -153,8 +154,10 @@ def verify_parity_classification(limit: int) -> list[int]:
 def odd_prime_counts(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Number of distinct odd prime divisors of every level in [lo, hi].
 
-    `primes` must hold every prime up to hi.
+    `primes` must hold every prime up to hi; one that stops short raises
+    ValueError.
     """
+    require_primes_up_to(primes, hi)
     odd = primes[np.searchsorted(primes, 3) : np.searchsorted(primes, hi, side="right")]
     return np.bincount(multiples(lo, hi, odd)[0], minlength=hi - lo + 1)
 

@@ -6,6 +6,7 @@ and definition-level oracles (exhaustive residue scans, divisor sums).
 """
 
 import re
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import x0genus.genus as genus_module
-from x0genus.arith import Factorization, primes_up_to
+from x0genus.arith import Factorization, primes_up_to, require_primes_up_to
 from x0genus.genus import (
     LEVEL_MAX,
     PERIOD,
@@ -196,9 +197,24 @@ def test_prime_check_spans_the_largest_gap_below_1e8():
     # inside it is covered, and the first one past it is not
     primes = primes_up_to(47326912)
     assert primes[-1] == 47326693
-    genus_module._require_primes_up_to(primes, 47326912)
+    require_primes_up_to(primes, 47326912)
     with pytest.raises(ValueError, match="short of the prime 47326913 "):
-        genus_module._require_primes_up_to(primes, 47326913)
+        require_primes_up_to(primes, 47326913)
+
+
+def test_block_divides_its_cofactor_into_stripped():
+    # the cofactor reuses stripped's buffer, so one block's traced peak is
+    # 7.90 int64 arrays of its length; a cofactor array of its own adds one
+    lo, size = 10**8, 2**17
+    primes = primes_up_to(isqrt(lo + size - 1))
+    breakdown_block(lo, lo + size - 1, primes)
+    tracemalloc.start()
+    try:
+        breakdown_block(lo, lo + size - 1, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 8 * size
 
 
 # the primes up to isqrt(hi) end below it unless it is prime: at 999983
@@ -332,6 +348,11 @@ def test_lift_on_a_slice_equals_lift_on_its_index_array(p, j):
     assert np.array_equal(by_slice, by_index)
     # stripped holds the powers of p applied: p**j at each hit
     assert np.all(by_slice[4][5::p**j] == p**j)
+    # a four-row state, as the cofactor pass gives, gets the same four rows
+    for idx in (slice(5, size, p**j), np.arange(5, size, p**j)):
+        four = state[:4].copy()
+        genus_module._lift(four, idx, p, j)
+        assert np.array_equal(four, by_slice[:4])
 
 
 @pytest.mark.parametrize("base", [PERIOD, 198413 * PERIOD, 10**12 // PERIOD * PERIOD])

@@ -5,7 +5,8 @@ __init__ is its docstring alone, so each name has one import path.  Every
 top-level definition of the package is reached from what a command, a gate
 or the benchmark reads, so code that only tests read lives in
 tests/oracles.py.  Every parameter of a function or lambda is read by its
-body, but for the few the benchmark still passes.
+body, but for the few the benchmark still passes.  No module takes
+another module's underscore name.
 """
 
 import ast
@@ -138,12 +139,18 @@ def test_every_definition_is_reached():
     assert unreached() == []
 
 
-def test_an_unreached_definition_is_found(tmp_path):
+def plant(tmp_path: Path, code: str) -> Path:
+    """A copy of the package in tmp_path with code appended to its stats.py."""
     for path in MODULES:
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
     with open(tmp_path / "stats.py", "a", encoding="utf-8") as f:
-        f.write("\n\ndef planted(n):\n    return factorize(n)\n")
-    assert unreached(tmp_path) == ["stats.planted"]
+        f.write(code)
+    return tmp_path
+
+
+def test_an_unreached_definition_is_found(tmp_path):
+    package = plant(tmp_path, "\n\ndef planted(n):\n    return factorize(n)\n")
+    assert unreached(package) == ["stats.planted"]
 
 
 # parameters no body reads, kept because the benchmark (perfbench/) still
@@ -181,8 +188,30 @@ def test_every_parameter_is_read():
 
 
 def test_an_unread_parameter_is_found(tmp_path):
-    for path in MODULES:
-        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
-    with open(tmp_path / "stats.py", "a", encoding="utf-8") as f:
-        f.write("\n\ndef planted(n, unused):\n    return factorize(n)\n")
-    assert unread_parameters(tmp_path) - UNREAD_BUT_KEPT == {("stats", "planted", "unused")}
+    package = plant(tmp_path, "\n\ndef planted(n, unused):\n    return factorize(n)\n")
+    assert unread_parameters(package) - UNREAD_BUT_KEPT == {("stats", "planted", "unused")}
+
+
+def private_imports(package: Path = PACKAGE) -> set[tuple[str, str]]:
+    """(module, home.name) of every underscore name a module takes from another module.
+
+    An imported name counts, and so does an attribute read through a
+    module alias (from . import genus, then genus._lift).
+    """
+    found = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, modules = _package_names(tree)
+        taken = set(names.values()) | _reads(tree, names, modules)
+        found |= {(path.stem, f"{home}.{name}") for home, name in taken
+                  if name.startswith("_") and home != path.stem}
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert private_imports() == set()
+
+
+def test_a_private_import_is_found(tmp_path):
+    package = plant(tmp_path, "\n\nfrom .genus import _lift\n")
+    assert private_imports(package) == {("stats", "genus._lift")}

@@ -197,6 +197,20 @@ def test_odd_prime_counts_on_windows():
         assert odd_prime_counts(lo, hi, primes_up_to(hi)).tolist() == counts.tolist()
 
 
+@pytest.mark.parametrize("build", [family_members, odd_prime_counts])
+def test_builders_refuse_primes_short_of_hi(build):
+    # unchecked, primes_up_to(10) over [1, 100] gave n = 22 no odd prime and
+    # dropped 13, 22 and 23 from the families
+    with pytest.raises(ValueError, match="short of the prime 11 "):
+        build(1, 100, primes_up_to(10))
+
+
+@pytest.mark.parametrize("check", [verify_parity_classification, power_of_two_congruence_check])
+def test_checks_pass_the_prime_check_at_1e6(check):
+    # the last block ends at 10**6, past the last prime 999983 of the list
+    assert check(10**6) == []
+
+
 def test_power_of_two_congruence_hand_cases():
     # 105 = 3*5*7: s = 3, so g = 1 (mod 2); g0(105) = 13
     assert genus(105).genus == 13
