@@ -1,9 +1,9 @@
 """Command line interface: every computation as a subcommand.
 
-Formats: csv (RFC-4180-style quoting, newline row terminator), json (one
-document per run), plain (newline-delimited values, or key=value lines
-for single-record commands).  All numeric output is deterministic for
-fixed flags.
+Formats: csv (fields joined by commas, newline row terminator; no field
+the CLI prints needs quoting), json (one document per run), plain
+(newline-delimited values, or key=value lines for single-record
+commands).  All numeric output is deterministic for fixed flags.
 
 Exit codes: 0 success; 1 invalid input, capacity refusal, or a reader
 that closed the output pipe early; 2 usage error (unknown subcommand,
@@ -13,14 +13,13 @@ malformed flag); 3 internal consistency fault.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import asdict, replace
 from functools import cache
 from itertools import chain
-from typing import Any, Callable, Iterable, Optional, TextIO, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -110,17 +109,16 @@ def _fmt(v: Any, precision: int) -> str:
 
 def _emit(
     args: argparse.Namespace,
-    out: TextIO,
     record: dict[str, Any],
     columns: Optional[Iterable[str]] = None,
     rows: Iterable[Iterable[Any]] = (),
     plain: Optional[Iterable[str]] = None,
-) -> None:
-    """Write one command's result in the format --format asks for.
+) -> Iterator[str]:
+    """The text of one command's result in the format --format asks for.
 
     Floats in the record are first rounded to --precision significant
-    digits.  json writes the record; csv writes `columns` and then `rows`,
-    or without columns the record as a header and one row; plain writes
+    digits.  json yields the record; csv yields `columns` and then `rows`,
+    or without columns the record as a header and one row; plain yields
     the `plain` lines, or without them one key=value line per field.
     """
     record = {
@@ -128,23 +126,21 @@ def _emit(
         for k, v in record.items()
     }
     if args.format == "json":
-        json.dump(record, out, indent=2)
-        out.write("\n")
+        yield json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
-        w = csv.writer(out, lineterminator="\n")
         if columns is None:
             columns, rows = record, [[_fmt(v, args.precision) for v in record.values()]]
-        w.writerow(columns)
-        w.writerows(rows)
+        for row in chain([columns], rows):
+            yield ",".join(map(str, row)) + "\n"
     else:
         if plain is None:
             plain = (f"{k}={_fmt(v, args.precision)}" for k, v in record.items())
         for line in plain:
-            out.write(line + "\n")
+            yield line + "\n"
 
 
-def _cmd_genus(args: argparse.Namespace, out: TextIO) -> None:
-    _emit(args, out, asdict(genus_breakdown(args.n)))
+def _cmd_genus(args: argparse.Namespace) -> Iterator[str]:
+    yield from _emit(args, asdict(genus_breakdown(args.n)))
 
 
 # (header, row open, field separator, row close, row separator, trailer) of
@@ -218,32 +214,32 @@ def _encode_block(blk: GenusBlock, layout: tuple[str, ...]) -> str:
     return mat.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _cmd_table(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_table(args: argparse.Namespace) -> Iterator[str]:
     layout = _TABLE_LAYOUT[args.format]
     header, *_, row_sep, trailer = layout
     for blk in iter_blocks(1, args.max):
-        out.write(header.replace("%d", str(args.max)) if blk.lo == 1 else row_sep)
-        out.write(_encode_block(blk, layout))
-    out.write(trailer)
+        yield header.replace("%d", str(args.max)) if blk.lo == 1 else row_sep
+        yield _encode_block(blk, layout)
+    yield trailer
 
 
-def _cmd_missed(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_missed(args: argparse.Namespace) -> Iterator[str]:
     rep = values.missed_values(args.max)
     rows = ((n, "odd" if n % 2 else "even", i) for i, n in enumerate(rep.missed, start=1))
     plain = (str(n) for n in rep.missed)
-    _emit(args, out, asdict(rep), ("n", "parity", "position"), rows, plain)
+    yield from _emit(args, asdict(rep), ("n", "parity", "position"), rows, plain)
 
 
-def _cmd_parity(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_parity(args: argparse.Namespace) -> Iterator[str]:
     mismatches = values.verify_parity_classification(args.max)
     ok = not mismatches
     record = {"max": args.max, "mismatches": mismatches, "ok": ok}
     plain = [f"max={args.max}", f"mismatches={len(mismatches)}", f"ok={_fmt(ok, args.precision)}"]
     plain += [f"mismatch={n}" for n in mismatches]
-    _emit(args, out, record, ("n",), ((n,) for n in mismatches), plain)
+    yield from _emit(args, record, ("n",), ((n,) for n in mismatches), plain)
 
 
-def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_bounds(args: argparse.Namespace) -> Iterator[str]:
     reports, mu12 = [], []
     for blk in iter_blocks(1, args.max):
         reports += bounds.bound_reports(blk)
@@ -269,40 +265,40 @@ def _cmd_bounds(args: argparse.Namespace, out: TextIO) -> None:
         f"ok={_fmt(ok, args.precision)}",
     ]
     plain += [f"equality={n}" for n in equality]
-    _emit(args, out, record, ("kind", "n"), rows, plain)
+    yield from _emit(args, record, ("kind", "n"), rows, plain)
 
 
-def _cmd_average(args: argparse.Namespace, out: TextIO) -> None:
-    _emit(args, out, asdict(stats.average_partial(args.max)))
+def _cmd_average(args: argparse.Namespace) -> Iterator[str]:
+    yield from _emit(args, asdict(stats.average_partial(args.max)))
 
 
-def _cmd_density(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_density(args: argparse.Namespace) -> Iterator[str]:
     # the sample comes first, so a refused --empirical-max sieves no primes
     freq = None
     if args.empirical_max is not None:
         freq = stats.residue_density_empirical(args.ell, args.empirical_max)
     d = replace(stats.residue_density_exact(args.ell), empirical_frequency=freq,
                 sample_bound=args.empirical_max)
-    _emit(args, out, asdict(d))
+    yield from _emit(args, asdict(d))
 
 
-def _cmd_histogram(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_histogram(args: argparse.Namespace) -> Iterator[str]:
     h = stats.residue_histogram(args.ell, args.max)
     flagged = set(h.flagged)
     counts = list(enumerate(h.counts))
     rows = ((r, c, _fmt(r in flagged, args.precision)) for r, c in counts)
     plain = chain((f"{r} {c} {'flagged' if r in flagged else '-'}" for r, c in counts),
                   [f"enrichment_holds={_fmt(h.enrichment_holds, args.precision)}"])
-    _emit(args, out, asdict(h), ("residue", "count", "flagged"), rows, plain)
+    yield from _emit(args, asdict(h), ("residue", "count", "flagged"), rows, plain)
 
 
-def _cmd_constants(args: argparse.Namespace, out: TextIO) -> None:
-    _emit(args, out, asdict(stats.asymptotic_constants()))
+def _cmd_constants(args: argparse.Namespace) -> Iterator[str]:
+    yield from _emit(args, asdict(stats.asymptotic_constants()))
 
 
-def _cmd_dirichlet(args: argparse.Namespace, out: TextIO) -> None:
+def _cmd_dirichlet(args: argparse.Namespace) -> Iterator[str]:
     chk = stats.zeta_identity_check(args.s)
-    _emit(args, out, asdict(chk) | {"ok": chk.ok})
+    yield from _emit(args, asdict(chk) | {"ok": chk.ok})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -322,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func: Callable[[argparse.Namespace, TextIO], None], summary: str):
+    def add(name: str, func: Callable[[argparse.Namespace], Iterator[str]], summary: str):
         sp = sub.add_parser(name, parents=[common], help=summary)
         sp.set_defaults(func=func)
         return sp
@@ -363,33 +359,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-class _OutputFile:
-    """The --output file, opened at the first write: a refused command leaves none."""
-
-    def __init__(self, path: str) -> None:
-        self.path, self.file = path, None
-
-    def write(self, text: str) -> int:
-        if self.file is None:
-            self.file = open(self.path, "w", encoding="utf-8", newline="")
-        return self.file.write(text)
-
-    def flush(self) -> None:  # a command that wrote nothing still leaves an empty file
-        self.write("")
-        self.file.flush()
-
-    def close(self) -> None:
-        if self.file is not None:
-            self.file.close()
-
-
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command: the one place its output is opened, written and closed.
+
+    A command yields its text in chunks and computes before its first, so
+    --output is opened after every refusal: a refused command leaves no
+    file, and one that yields nothing an empty one.
+    """
     args = _build_parser().parse_args(argv)
-    out = sys.stdout if args.output is None else _OutputFile(args.output)
+    out = None
     try:
         if not 1 <= args.precision <= PRECISION_MAX:
             raise ValueError(f"--precision must be 1 to {PRECISION_MAX}, got {args.precision}")
-        args.func(args, out)
+        text = args.func(args)
+        first = next(text, "")
+        out = sys.stdout if args.output is None else open(
+            args.output, "w", encoding="utf-8", newline="")
+        out.write(first)
+        out.writelines(text)
         out.flush()
     except BrokenPipeError:
         # the reader is gone; send what is left to devnull so the final
@@ -403,10 +390,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal consistency fault: {e}", file=sys.stderr)
         return 3
     finally:
-        if out is not sys.stdout:
+        if out not in (None, sys.stdout):
             out.close()
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -45,9 +45,9 @@ AVG_RATIO_TARGET = 5.0 / (4.0 * pi**2)  # limit of (1/B) sum g0(N)/N
 DEFAULT_PRIME_LIMIT = 10**7
 DEFAULT_DIRICHLET_TERMS = 10**6
 
-# residue_histogram keeps ell counts per block and flagged_residue_classes
-# stores up to ell - 1 classes, so both refuse a larger ell; 2**20 counts
-# take 8 MB
+# flagged_residue_classes stores up to ell - 1 classes and residue_histogram
+# keeps ell counts per block (2**20 counts take 8 MB); flagged_residue_classes
+# refuses a larger ell for both
 HISTOGRAM_ELL_MAX = 2**20
 
 # squarefree_fraction keeps one flag per level: 10**9 of them take 1 GB
@@ -76,12 +76,6 @@ def _require_odd_prime(ell: int) -> None:
         raise ValueError("ell = 2 is covered by the parity classification, not densities")
     if not 3 <= ell < FACTOR_LIMIT or factorize(ell).factors != ((ell, 1),):
         raise ValueError(f"ell must be an odd prime below 2**64, got {ell}")
-
-
-def _require_histogram_ell(ell: int) -> None:
-    _require_odd_prime(ell)
-    if ell > HISTOGRAM_ELL_MAX:
-        raise ValueError(f"histograms take ell <= {HISTOGRAM_ELL_MAX}, got {ell}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +327,9 @@ def flagged_residue_classes(ell: int) -> tuple[int, ...]:
     built by doubling a numpy array (products stay below ell^2 <= 2^40),
     and there are up to ell - 1 of them, so ell stops at HISTOGRAM_ELL_MAX.
     """
-    _require_histogram_ell(ell)
+    _require_odd_prime(ell)
+    if ell > HISTOGRAM_ELL_MAX:
+        raise ValueError(f"histograms take ell <= {HISTOGRAM_ELL_MAX}, got {ell}")
     order = _order_of_two(ell)
     pw = np.ones(1, dtype=np.int64)
     while pw.size < order:
@@ -361,9 +357,8 @@ class ResidueHistogram:
 
 def residue_histogram(ell: int, bound: int) -> ResidueHistogram:
     """Histogram of g0(N) mod ell over all levels N <= bound, for ell <= HISTOGRAM_ELL_MAX."""
-    _require_histogram_ell(ell)
+    flagged = flagged_residue_classes(ell)  # refuses ell before any block is sieved
     counts = _genus_residue_counts(ell, bound)
-    flagged = flagged_residue_classes(ell)
     primitive = len(flagged) == ell - 1  # one class per power of 2 below its order
     enrichment = None
     if not primitive:

@@ -12,6 +12,7 @@ from x0genus.bounds import (
     check_bounds_range,
     expected_equality_levels,
     mu_over_12_bound_check,
+    mu_over_12_violations,
 )
 from x0genus.genus import breakdown_block, genus
 from oracles import lower_bound, lower_bound_equality, lower_bound_holds, upper_bound
@@ -98,6 +99,18 @@ def test_planted_genus_zero_is_reported(lo):
     genera[n - lo] = 0
     reports = bound_reports(replace(blk, genus=genera))
     assert [(r.n, r.is_violation) for r in reports] == [(n, True)]
+
+
+@pytest.mark.parametrize("lo", [10**9, 4 * 10**9, 10**12, 10**16 - 2**17])
+def test_planted_mu_over_12_violation_is_reported(lo):
+    # 12*g is at most mu + 12 here, and mu/N <= 4.4 keeps it far below 2**63
+    blk = breakdown_block(lo, lo + 1023)
+    n = lo + 500
+    edge = int(blk.mu[n - lo]) // 12
+    for g, reported in ((edge, []), (edge + 1, [n])):
+        genera = blk.genus.copy()
+        genera[n - lo] = g
+        assert mu_over_12_violations(replace(blk, genus=genera)) == reported
 
 
 def test_equality_found_near_level_max():

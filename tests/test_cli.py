@@ -554,7 +554,7 @@ def test_whole_range_scan_sieves_once(monkeypatch, name):
 # its pass; attained_genera and missed_values bound a genus value and keep
 # their own refusal at MISSED_MAX
 BOUNDED = {
-    "cli-bounds": (lambda b: cli_module._cmd_bounds(argparse.Namespace(max=b), io.StringIO()), 1),
+    "cli-bounds": (lambda b: list(cli_module._cmd_bounds(argparse.Namespace(max=b))), 1),
     "check_bounds_range": (lambda b: bounds.check_bounds_range(5, b), 5),
     "mu_over_12_bound_check": (lambda b: bounds.mu_over_12_bound_check(5, b), 5),
     "verify_parity_classification": (values.verify_parity_classification, 1),

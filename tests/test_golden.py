@@ -11,6 +11,7 @@ To rewrite the files after an intended output change:
 """
 
 import argparse
+import csv
 import io
 import json
 from contextlib import redirect_stdout
@@ -87,6 +88,15 @@ def test_output_file_matches_golden(case, fmt, tmp_path):
     target = tmp_path / "out"
     assert render(CASES[case] + ["--format", fmt, "--output", str(target)]) == ""
     assert target.read_bytes() == golden_path(case, fmt).read_bytes()
+
+
+# the CLI joins csv fields with bare commas, which is RFC 4180 only while
+# no field holds a comma, a quote or a line break; every golden file must
+# read back through csv.reader to the same line
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csv_golden_needs_no_quoting(case):
+    lines = golden_path(case, "csv").read_text(encoding="utf-8").splitlines()
+    assert lines == [",".join(row) for row in csv.reader(lines)]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

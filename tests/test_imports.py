@@ -6,7 +6,8 @@ top-level definition of the package is reached from what a command, a gate
 or the benchmark reads, so code that only tests read lives in
 tests/oracles.py.  Every parameter of a function or lambda is read by its
 body, but for the few the benchmark still passes.  No module takes
-another module's underscore name.
+another module's underscore name.  In cli.py only main opens, writes or
+flushes output; every command yields its text.
 """
 
 import ast
@@ -139,11 +140,11 @@ def test_every_definition_is_reached():
     assert unreached() == []
 
 
-def plant(tmp_path: Path, code: str) -> Path:
-    """A copy of the package in tmp_path with code appended to its stats.py."""
+def plant(tmp_path: Path, code: str, module: str = "stats.py") -> Path:
+    """A copy of the package in tmp_path with code appended to one module file."""
     for path in MODULES:
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
-    with open(tmp_path / "stats.py", "a", encoding="utf-8") as f:
+    with open(tmp_path / module, "a", encoding="utf-8") as f:
         f.write(code)
     return tmp_path
 
@@ -215,3 +216,39 @@ def test_no_module_imports_another_modules_private_name():
 def test_a_private_import_is_found(tmp_path):
     package = plant(tmp_path, "\n\nfrom .genus import _lift\n")
     assert private_imports(package) == {("stats", "genus._lift")}
+
+
+def output_calls(package: Path = PACKAGE) -> set[tuple[str, str]]:
+    """(function, what) of every output call in cli.py outside main.
+
+    An open() call, a read of sys.stdout, and a .write, .writelines or
+    .flush call count; main is the one sink every command's text passes.
+    """
+    found = set()
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "main":
+            continue
+        for n in ast.walk(func):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "open":
+                found.add((func.name, "open"))
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("write", "writelines", "flush")):
+                found.add((func.name, n.func.attr))
+            elif (isinstance(n, ast.Attribute) and n.attr == "stdout"
+                    and isinstance(n.value, ast.Name) and n.value.id == "sys"):
+                found.add((func.name, "sys.stdout"))
+    return found
+
+
+def test_only_main_writes_cli_output():
+    assert output_calls() == set()
+
+
+def test_an_output_call_outside_main_is_found(tmp_path):
+    code = ("\n\ndef planted(args):\n    with open(args.output, 'w') as f:\n"
+            "        f.write('x')\n        f.flush()\n    sys.stdout.writelines([])\n")
+    package = plant(tmp_path, code, "cli.py")
+    assert output_calls(package) == {("planted", "open"), ("planted", "write"),
+                                     ("planted", "flush"), ("planted", "sys.stdout"),
+                                     ("planted", "writelines")}

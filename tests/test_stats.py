@@ -358,8 +358,9 @@ def test_histogram_refuses_ell_above_ceiling(monkeypatch):
     def must_not_run(*args):
         raise AssertionError("ran before the refusal")
 
+    # flagged_residue_classes holds the refusal; the classes and the counts come after it
     monkeypatch.setattr(stats, "_genus_residue_counts", must_not_run)
-    monkeypatch.setattr(stats, "flagged_residue_classes", must_not_run)
+    monkeypatch.setattr(stats, "_order_of_two", must_not_run)
     with pytest.raises(ValueError, match="ell <="):
         residue_histogram(1048583, 10)  # the first prime above 2**20
 
