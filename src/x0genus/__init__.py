@@ -9,9 +9,10 @@ count elliptic points, and nu_inf counts cusps; all four are
 multiplicative and evaluated from factorizations.  Each name is imported
 from the module that defines it:
 
-- x0genus.arith: factorization and the cached prime lists;
-- x0genus.genus: the closed forms, the genus of one level and the block
-  sieve over level ranges (iter_blocks);
+- x0genus.scalar: factorization, the closed forms, the genus of one level
+  and the domain ceilings, with no numpy;
+- x0genus.arith: the cached prime lists;
+- x0genus.genus: the block sieve over level ranges (iter_blocks);
 - x0genus.values: the values never attained as a genus, the six-family
   parity classification and the 2**(s-2) congruence;
 - x0genus.bounds: sharp lower/upper bounds with exact equality detection;

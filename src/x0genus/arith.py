@@ -1,11 +1,8 @@
-"""Prime sieves, factorization, and elementary arithmetic functions.
+"""Prime sieves and the multiples of many steps in one window.
 
-Everything downstream (genus formulas, bound checks, density scans) reduces
-to prime factorizations.  An isolated level 1 <= n < 2**64 is factored by
-trial division by the primes below 1000, a Miller-Rabin test of what is
-left and Pollard-Brent rho on composites; whole ranges never are, since the
-segmented block sieve in genus.py strips the primes from every level of a
-window at once, with the primes from primes_up_to.
+Level ranges are never factored level by level (scalar.py factors one
+level): the block sieve in genus.py strips the primes from every level of
+a window at once, with the primes from primes_up_to.
 
 One sieve lists primes: _sieve strikes the odd members of one residue
 class, one cache-sized block of flags at a time, and writes the primes
@@ -19,135 +16,16 @@ before anything is allocated.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, log
 
 import numpy as np
 
+from .scalar import PRIME_LIMIT_MAX, factorize
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime-power decomposition n = prod p**e, primes ascending.
-
-    n = 1 is the empty product.
-    """
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        m = 1
-        prev = 1
-        for p, e in self.factors:
-            if p <= prev or e < 1:
-                raise ValueError(f"malformed factorization of {self.n}")
-            prev = p
-            m *= p**e
-        if m != self.n:
-            raise ValueError(f"factors do not multiply to {self.n}")
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
-# factorize's domain is 1 <= n < FACTOR_LIMIT.  Below it the Miller-Rabin
-# bases are exact and Pollard-Brent rho needs about n**(1/4) = 2**16 steps.
-FACTOR_LIMIT = 2**64
-
-# rho steps multiplied together between two gcds
-_RHO_BATCH = 128
-
-# primes_up_to's domain is limit <= PRIME_LIMIT_MAX: the 50847534 primes up
-# to 1e9 take 388 MiB, and a whole-range prime list past that outgrows memory
-PRIME_LIMIT_MAX = 10**9
 # flags per block of the prime sieve: 512 KB, which stays in a core's L2
 # cache
 PRIME_BLOCK = 1 << 19
-
-
-def factorize(n: int) -> Factorization:
-    """Factor 1 <= n < 2**64 exactly, in time bounded on that domain.
-
-    Primes below 1000 are divided out, the cofactor is tested with
-    Miller-Rabin and composites are split with Pollard-Brent rho.
-    """
-    n = operator.index(n)  # a numpy integer would wrap in rho's squaring
-    if not 1 <= n < FACTOR_LIMIT:
-        raise ValueError(f"cannot factor {n}: need 1 <= n < 2**64")
-    m = n
-    exponents: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
-        while m % p == 0:
-            m //= p
-            exponents[p] = exponents.get(p, 0) + 1
-    stack = [m] if m > 1 else []
-    while stack:
-        m = stack.pop()
-        if _is_prime(m):
-            exponents[m] = exponents.get(m, 0) + 1
-        else:
-            d = _rho(m)
-            stack += (d, m // d)
-    return Factorization(n, tuple(sorted(exponents.items())))
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n > 1 with no prime factor below 1000."""
-    if n < 1000**2:
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho(n: int) -> int:
-    """A proper factor of the composite n, by Pollard-Brent rho (Brent 1980).
-
-    Iterates y -> y**2 + c from y = 2 and multiplies _RHO_BATCH differences
-    together between gcds.  When a batch's gcd is n, the batch is stepped
-    again one gcd at a time; if that also meets n, c moves on.
-    """
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = gcd(q, n)
-                k += _RHO_BATCH
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(x - ys, n)
-        if g != n:
-            return g
 
 
 @lru_cache(maxsize=8)
@@ -219,14 +97,6 @@ def _sieve(limit: int, modulus: int = 1, residue: int = 0) -> np.ndarray:
         count += found.size
     primes.resize(count, refcheck=False)
     return primes
-
-
-# trial divisors: every prime below 1000, as Python ints so that factorize
-# never computes in int64
-_SMALL_PRIMES = tuple(_sieve(999).tolist())
-# the first 12 primes are strong-pseudoprime witnesses for every composite
-# below 3.18e23 (Jiang and Deng 2014; Sorenson and Webster 2015)
-_MR_BASES = _SMALL_PRIMES[:12]
 
 
 def primes_in_progression(modulus: int, residue: int, limit: int) -> np.ndarray:

@@ -7,7 +7,8 @@ commands).  All numeric output is deterministic for fixed flags.
 
 Exit codes: 0 success; 1 invalid input, capacity refusal, or a reader
 that closed the output pipe early; 2 usage error (unknown subcommand,
-malformed flag); 3 internal consistency fault.
+malformed flag); 3 internal consistency fault.  Importing this module loads
+the standard library and scalar.py alone: each command imports what it runs.
 """
 
 from __future__ import annotations
@@ -21,12 +22,8 @@ from functools import cache
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Optional, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from . import bounds, stats, values
-from .arith import PRIME_LIMIT_MAX
-from .genus import (LEVEL_MAX, ConsistencyError, GenusBlock, GenusBreakdown,
-                    genus as genus_breakdown, iter_blocks)
+from .scalar import (HISTOGRAM_ELL_MAX, LEVEL_MAX, MISSED_MAX, PRIME_LIMIT_MAX, S_MAX,
+                     ConsistencyError, GenusBreakdown, genus as genus_breakdown)
 
 TABLE_COLUMNS = ("n", "mu", "nu2", "nu3", "nu_inf", "genus")
 # the largest precision a format spec takes: a C int
@@ -70,31 +67,30 @@ _TABLE_ROW = {
     "maxItems": len(TABLE_COLUMNS),
 }
 
-# one schema per subcommand, taken from the result type it prints; json
-# output validates against these
-SCHEMAS: dict[str, dict[str, Any]] = {
-    "genus": _schema(get_type_hints(GenusBreakdown)),
-    "table": _schema(
-        {"max": int, "columns": tuple[str, ...], "rows": {"type": "array", "items": _TABLE_ROW}}
-    ),
-    "missed": _schema(get_type_hints(values.MissedValuesReport)),
-    "parity": _schema({"max": int, "mismatches": tuple[int, ...], "ok": bool}),
-    "bounds": _schema(
-        {
-            "max": int,
-            "violations": tuple[int, ...],
-            "mu_over_12_violations": tuple[int, ...],
-            "equality_levels": tuple[int, ...],
-            "expected_equality_levels": tuple[int, ...],
-            "ok": bool,
-        }
-    ),
-    "average": _schema(get_type_hints(stats.AverageReport)),
-    "density": _schema(get_type_hints(stats.ResidueDensity)),
-    "histogram": _schema(get_type_hints(stats.ResidueHistogram)),
-    "constants": _schema(get_type_hints(stats.AsymptoticConstants)),
-    "dirichlet": _schema(get_type_hints(stats.DirichletCheck) | {"ok": bool}),
-}
+def __getattr__(name: str) -> Any:
+    """SCHEMAS, built at its first read and kept: one schema per subcommand,
+    from the result type it prints.  json output validates against these."""
+    if name != "SCHEMAS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import stats, values
+    schemas = globals()["SCHEMAS"] = {
+        "genus": _schema(get_type_hints(GenusBreakdown)),
+        "table": _schema(
+            {"max": int, "columns": tuple[str, ...], "rows": {"type": "array", "items": _TABLE_ROW}}
+        ),
+        "missed": _schema(get_type_hints(values.MissedValuesReport)),
+        "parity": _schema({"max": int, "mismatches": tuple[int, ...], "ok": bool}),
+        "bounds": _schema({"max": int, "violations": tuple[int, ...],
+                           "mu_over_12_violations": tuple[int, ...],
+                           "equality_levels": tuple[int, ...],
+                           "expected_equality_levels": tuple[int, ...], "ok": bool}),
+        "average": _schema(get_type_hints(stats.AverageReport)),
+        "density": _schema(get_type_hints(stats.ResidueDensity)),
+        "histogram": _schema(get_type_hints(stats.ResidueHistogram)),
+        "constants": _schema(get_type_hints(stats.AsymptoticConstants)),
+        "dirichlet": _schema(get_type_hints(stats.DirichletCheck) | {"ok": bool}),
+    }
+    return schemas
 
 
 def _fmt(v: Any, precision: int) -> str:
@@ -155,13 +151,14 @@ _TABLE_LAYOUT = {
 
 
 @cache
-def _digit_words() -> np.ndarray:
-    """The 4 ASCII digits of every word 0..9999, packed in one uint32.
+def _digit_words():
+    """The 4 ASCII digits of every word 0..9999, packed in one uint32 array.
 
     Entry w spells w in full, entry 10000 + w with its leading zeros as 0
     bytes, and entry 20000 + w the same but keeping the last digit, so
     that 0 is "0".  The bytes lie in reading order, as a view takes them.
     """
+    import numpy as np
     w = np.arange(10000)[:, None]
     scale = 10 ** np.arange(3, -1, -1)
     digits = 48 + w // scale % 10
@@ -172,7 +169,7 @@ def _digit_words() -> np.ndarray:
     return words
 
 
-def _digits(values: np.ndarray) -> np.ndarray:
+def _digits(values):
     """The decimal digits of non-negative int64 values, right-aligned.
 
     Each row is as wide as the largest value's digits, and a shorter
@@ -180,6 +177,7 @@ def _digits(values: np.ndarray) -> np.ndarray:
     words; a word with no non-zero word to its left takes the table's
     leading-zero entry, or for the last word the entry that keeps a digit.
     """
+    import numpy as np
     width = len(str(int(values.max())))
     k = (width + 3) // 4
     words = np.empty((len(values), k), dtype=np.intp)
@@ -191,14 +189,15 @@ def _digits(values: np.ndarray) -> np.ndarray:
     return _digit_words()[words].view(np.uint8)[:, 4 * k - width :]
 
 
-def _encode_block(blk: GenusBlock, layout: tuple[str, ...]) -> str:
-    """The table rows of one block in a layout, joined by its row separator.
+def _encode_block(blk, layout: tuple[str, ...]) -> str:
+    """The table rows of one GenusBlock in a layout, joined by its row separator.
 
     A (rows, width) byte matrix starts as the layout's row, separator
     first, with 0 bytes where the digits go; each column's digits fill
     their place.  The 0 bytes left (the digits' leading zeros and the
     separator before the first row) drop out of the text.
     """
+    import numpy as np
     _, row_open, field_sep, row_close, row_sep, _ = layout
     digits = [_digits(c) for c in (blk.levels, blk.mu, blk.nu2, blk.nu3, blk.nu_inf, blk.genus)]
     gaps = [row_sep + row_open] + [field_sep] * (len(digits) - 1) + [row_close]
@@ -215,6 +214,7 @@ def _encode_block(blk: GenusBlock, layout: tuple[str, ...]) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> Iterator[str]:
+    from .genus import iter_blocks
     layout = _TABLE_LAYOUT[args.format]
     header, *_, row_sep, trailer = layout
     for blk in iter_blocks(1, args.max):
@@ -224,6 +224,7 @@ def _cmd_table(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_missed(args: argparse.Namespace) -> Iterator[str]:
+    from . import values
     rep = values.missed_values(args.max)
     rows = ((n, "odd" if n % 2 else "even", i) for i, n in enumerate(rep.missed, start=1))
     plain = (str(n) for n in rep.missed)
@@ -231,6 +232,7 @@ def _cmd_missed(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_parity(args: argparse.Namespace) -> Iterator[str]:
+    from . import values
     mismatches = values.verify_parity_classification(args.max)
     ok = not mismatches
     record = {"max": args.max, "mismatches": mismatches, "ok": ok}
@@ -240,6 +242,8 @@ def _cmd_parity(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Iterator[str]:
+    from . import bounds
+    from .genus import iter_blocks
     reports, mu12 = [], []
     for blk in iter_blocks(1, args.max):
         reports += bounds.bound_reports(blk)
@@ -269,10 +273,12 @@ def _cmd_bounds(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_average(args: argparse.Namespace) -> Iterator[str]:
+    from . import stats
     yield from _emit(args, asdict(stats.average_partial(args.max)))
 
 
 def _cmd_density(args: argparse.Namespace) -> Iterator[str]:
+    from . import stats
     # the sample comes first, so a refused --empirical-max sieves no primes
     freq = None
     if args.empirical_max is not None:
@@ -283,6 +289,7 @@ def _cmd_density(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_histogram(args: argparse.Namespace) -> Iterator[str]:
+    from . import stats
     h = stats.residue_histogram(args.ell, args.max)
     flagged = set(h.flagged)
     counts = list(enumerate(h.counts))
@@ -293,10 +300,12 @@ def _cmd_histogram(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _cmd_constants(args: argparse.Namespace) -> Iterator[str]:
+    from . import stats
     yield from _emit(args, asdict(stats.asymptotic_constants()))
 
 
 def _cmd_dirichlet(args: argparse.Namespace) -> Iterator[str]:
+    from . import stats
     chk = stats.zeta_identity_check(args.s)
     yield from _emit(args, asdict(chk) | {"ok": chk.ok})
 
@@ -331,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("missed", _cmd_missed, "positive integers <= --max never attained")
     sp.add_argument("--max", type=int, required=True,
-                    help=f"largest genus value, 1 to {values.MISSED_MAX}")
+                    help=f"largest genus value, 1 to {MISSED_MAX}")
 
     sp = add("parity", _cmd_parity, "verify the six-family parity classification")
     sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {PRIME_LIMIT_MAX}")
@@ -348,13 +357,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"sample the levels up to here, 1 to {LEVEL_MAX}")
 
     sp = add("histogram", _cmd_histogram, "histogram of g0(N) mod ell")
-    sp.add_argument("--ell", type=int, required=True, help=f"odd prime <= {stats.HISTOGRAM_ELL_MAX}")
+    sp.add_argument("--ell", type=int, required=True, help=f"odd prime <= {HISTOGRAM_ELL_MAX}")
     sp.add_argument("--max", type=int, required=True, help=f"largest level, 1 to {LEVEL_MAX}")
 
     add("constants", _cmd_constants, "growth constants a0, b, c")
 
     sp = add("dirichlet", _cmd_dirichlet, "partial F(s) against the zeta product")
-    sp.add_argument("--s", type=float, required=True, help=f"1 < s <= {stats.S_MAX:g}")
+    sp.add_argument("--s", type=float, required=True, help=f"1 < s <= {S_MAX:g}")
 
     return p
 

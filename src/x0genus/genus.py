@@ -1,31 +1,17 @@
-"""Exact genus of the modular curve X0(N).
+"""The segmented block sieve: the genus of every level in a window at once.
 
-The genus is assembled from four multiplicative quantities:
-
-    g0(N) = 1 + mu/12 - nu2/4 - nu3/3 - nu_inf/2
-
-where mu is the index of the level-N congruence subgroup in SL2(Z), nu2 and
-nu3 count solutions in Z/NZ of x^2 + 1 = 0 and x^2 + x + 1 = 0, and nu_inf
-counts cusps.  Each has a closed form over the prime factorization of N,
-and breakdown_from_factorization, the one scalar routine, evaluates all
-four in one pass over the factors; the test suite checks it against
-brute-force counts (exhaustive residue scans and divisor sums).
-
-All arithmetic is integer-exact: the genus is computed from the identity
-12*(g - 1) = mu - 3*nu2 - 4*nu3 - 6*nu_inf, whose left side must be
-divisible by 12.  A divisibility failure signals a formula bug and raises
-ConsistencyError rather than rounding.
-
-For batch ranges there is a segmented, numpy-vectorized sieve
-(breakdown_block / iter_blocks) that computes all five quantities for every
-level in a window, up to LEVEL_MAX.  One routine, _lift, holds the rule for
-how a prime power p**j changes mu, nu2, nu3 and nu_inf, and, before the
-cofactor pass, multiplies p into the product stripped from each level; the
-pre-sieved period of the powers of 2, 3, 5 and 7 dividing 5040, the
-small-prime pass of strided slices, the batched large-prime passes and the
-cofactor pass only list the levels it applies to.  iter_blocks cuts a range
-into fixed-size segments and sieves them one after another in the calling
-thread; every whole-range check is one plain loop over such a pass.
+breakdown_block computes the five quantities of a scalar.GenusBreakdown
+for every level of a window, up to LEVEL_MAX, with numpy, and raises
+scalar.ConsistencyError where 12 does not divide a genus numerator; the
+closed forms for one level are in scalar.py.  One routine, _lift, holds
+the rule for how a prime power p**j changes mu, nu2, nu3 and nu_inf, and,
+before the cofactor pass, multiplies p into the product stripped from
+each level; the pre-sieved period of the powers of 2, 3, 5 and 7 dividing
+5040, the small-prime pass of strided slices, the batched large-prime
+passes and the cofactor pass only list the levels it applies to.
+iter_blocks cuts a range into fixed-size segments and sieves them one
+after another in the calling thread; every whole-range check is one plain
+loop over such a pass.
 """
 
 from __future__ import annotations
@@ -36,7 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import Factorization, factorize, multiples, primes_up_to, require_primes_up_to
+from .arith import multiples, primes_up_to, require_primes_up_to
+# genus is kept bound here, unread, for perfbench, which reads x0genus.genus.genus
+from .scalar import LEVEL_MAX, ConsistencyError, GenusBreakdown, genus, theta
 
 # Fixed segment width for batch scans.  It is a constant, not a parameter,
 # because some aggregates depend on where the blocks are cut: average_partial
@@ -55,76 +43,6 @@ SMALL_PRIME_LIMIT = SEGMENT >> 6
 # strided slices at p**(e+1).
 PRESIEVED = {2: 4, 3: 2, 5: 1, 7: 1}
 PERIOD = prod(p**e for p, e in PRESIEVED.items())
-
-# The highest level the block sieve accepts.  Its primes up to 1e8 still
-# sieve in seconds, and int64 mu stays exact (it wraps near N = 2.09e18).
-LEVEL_MAX = 10**16
-
-
-class ConsistencyError(RuntimeError):
-    """Internal identity 12 | mu - 3*nu2 - 4*nu3 - 6*nu_inf failed."""
-
-
-@dataclass(frozen=True)
-class GenusBreakdown:
-    """The quintuple (mu, nu2, nu3, nu_inf, genus) for one level n."""
-
-    n: int
-    mu: int
-    nu2: int
-    nu3: int
-    nu_inf: int
-    genus: int
-
-    def __post_init__(self):
-        if 12 * (self.genus - 1) != self.mu - 3 * self.nu2 - 4 * self.nu3 - 6 * self.nu_inf:
-            raise ConsistencyError(f"breakdown identity fails at n={self.n}")
-
-
-def theta(p: int, r: int) -> int:
-    """Cusp count contribution of one prime power p**r.
-
-    theta(p, 2R+1) = 2 * p**R    and    theta(p, 2R) = (p+1) * p**(R-1).
-    """
-    if r < 1:
-        raise ValueError(f"exponent must be >= 1, got {r}")
-    if r % 2:
-        return 2 * p ** (r // 2)
-    return (p + 1) * p ** (r // 2 - 1)
-
-
-def breakdown_from_factorization(f: Factorization) -> GenusBreakdown:
-    """The breakdown of f.n from its closed forms, in one pass over the factors.
-
-    mu = prod (p+1) * p**(e-1) is the index of the level-n subgroup, and
-    nu_inf = prod theta(p, e) the number of cusps.  nu2, the number of
-    solutions of x^2 + 1 = 0 in Z/nZ, is 0 when 4 | n or some prime factor
-    is 3 mod 4, and otherwise 2**s with s the number of prime factors that
-    are 1 mod 4; the prime 2 to the first power neither kills the count nor
-    doubles it.  nu3, the number of solutions of x^2 + x + 1 = 0, is 0 when
-    9 | n or some prime factor is 2 mod 3, and otherwise 2**t with t the
-    number of prime factors that are 1 mod 3; the prime 3 behaves like 2 in
-    nu2.  GenusBreakdown raises if 12 does not divide the numerator.
-    """
-    m = n2 = n3 = ni = 1
-    for p, e in f.factors:
-        m *= (p + 1) * p ** (e - 1)
-        ni *= theta(p, e)
-        if p == 2 and e >= 2 or p % 4 == 3:
-            n2 = 0
-        elif p != 2:
-            n2 *= 2
-        if p == 3 and e >= 2 or p % 3 == 2:
-            n3 = 0
-        elif p != 3:
-            n3 *= 2
-    twelve_g = m - 3 * n2 - 4 * n3 - 6 * ni + 12
-    return GenusBreakdown(f.n, m, n2, n3, ni, twelve_g // 12)
-
-
-def genus(n: int) -> GenusBreakdown:
-    """Exact genus breakdown for a single level n >= 1."""
-    return breakdown_from_factorization(factorize(n))
 
 
 @dataclass(frozen=True)

@@ -37,18 +37,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import FACTOR_LIMIT, factorize, primes_in_progression, primes_up_to
-from .genus import LEVEL_MAX, GenusBlock, iter_blocks
+from .arith import primes_in_progression, primes_up_to
+from .genus import GenusBlock, iter_blocks
+from .scalar import FACTOR_LIMIT, HISTOGRAM_ELL_MAX, LEVEL_MAX, S_MAX, factorize
 
 AVG_RATIO_TARGET = 5.0 / (4.0 * pi**2)  # limit of (1/B) sum g0(N)/N
 
 DEFAULT_PRIME_LIMIT = 10**7
 DEFAULT_DIRICHLET_TERMS = 10**6
-
-# flagged_residue_classes stores up to ell - 1 classes and residue_histogram
-# keeps ell counts per block (2**20 counts take 8 MB); flagged_residue_classes
-# refuses a larger ell for both
-HISTOGRAM_ELL_MAX = 2**20
 
 # squarefree_fraction keeps one flag per level: 10**9 of them take 1 GB
 SQUAREFREE_MAX = 10**9
@@ -56,12 +52,6 @@ SQUAREFREE_MAX = 10**9
 # mu(N)/N = prod_{p | N} (1 + 1/p) first reaches 4 when N has the eleven
 # primes up to 31, so mu/N < 4 for every N below their product
 MU_RATIO_BELOW_FOUR_LIMIT = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31
-
-# Largest s of F(s) and its tail bound.  zeta_with_error's remainder is about
-# s**17 * M**(-s-17), which past s = 1e18 reads inf * 0 = nan, and the tail
-# bound's (s - 1)**2 overflows past 1.3e154.  zeta_identity_check takes zeta
-# at 2s + 2, so zeta accepts s up to 2 S_MAX + 2, still 500 times below 1e18.
-S_MAX = 1e15
 
 
 def _require_s(s: float, what: str, ceiling: float = S_MAX) -> None:

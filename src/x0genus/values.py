@@ -18,7 +18,6 @@ congruence g0(N) = 1 (mod 2**(s-2)), s the number of those primes."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
@@ -27,31 +26,9 @@ import numpy as np
 
 from .arith import multiples, primes_up_to, require_primes_up_to
 from .genus import iter_blocks
-
-# the most levels a scan for missed values may cover (time, not memory)
-DEFAULT_SCAN_CAPACITY = 3 * 10**8
+from .scalar import DEFAULT_SCAN_CAPACITY, MISSED_MAX, scan_limit_for
 
 EXCEPTIONAL_EVEN_LEVELS = frozenset({1, 2, 3, 4, 8, 16})
-
-
-def scan_limit_for(x: int) -> int:
-    """Smallest level budget guaranteeing completeness for values up to x.
-
-    ceil(12x + 18*sqrt(x) + 40) with sqrt rounded up, plus one defensively;
-    the underlying inequality is strict, so rounding up is the safe side.
-    """
-    s = isqrt(x)
-    if s * s < x:
-        s += 1
-    return 12 * x + 18 * s + 40 + 1
-
-
-# the largest x that missed_values and attained_genera accept: the largest
-# x with scan_limit_for(x) <= DEFAULT_SCAN_CAPACITY, found by bisection
-# over range(DEFAULT_SCAN_CAPACITY), as scan_limit_for increases with x
-# and exceeds it
-MISSED_MAX = bisect_right(range(DEFAULT_SCAN_CAPACITY), DEFAULT_SCAN_CAPACITY,
-                          key=scan_limit_for) - 1
 
 
 @dataclass(frozen=True)

@@ -43,15 +43,16 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from x0genus.arith import Factorization, factorize, multiples, primes_in_progression, primes_up_to
+from x0genus.arith import multiples, primes_in_progression, primes_up_to
 from x0genus.bounds import UPPER_BOUND_COEFF
-from x0genus.genus import (
+from x0genus.genus import GenusBlock, iter_blocks
+from x0genus.scalar import (
     LEVEL_MAX,
     ConsistencyError,
-    GenusBlock,
+    Factorization,
     GenusBreakdown,
     breakdown_from_factorization,
-    iter_blocks,
+    factorize,
     theta,
 )
 from x0genus.stats import DEFAULT_PRIME_LIMIT, _require_odd_prime, residue_density_exact

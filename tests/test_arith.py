@@ -11,17 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from x0genus import arith
-from x0genus.arith import (
-    FACTOR_LIMIT,
-    PRIME_BLOCK,
-    PRIME_LIMIT_MAX,
-    Factorization,
-    factorize,
-    multiples,
-    primes_in_progression,
-    primes_up_to,
-)
+from x0genus import arith, scalar
+from x0genus.arith import PRIME_BLOCK, multiples, primes_in_progression, primes_up_to
+from x0genus.scalar import FACTOR_LIMIT, PRIME_LIMIT_MAX, Factorization, factorize
 from x0genus.stats import residue_density_exact
 from oracles import (
     DENSITY_BOUND_TABLE,
@@ -164,6 +156,8 @@ def test_primes_up_to_small():
     assert primes_up_to(1).tolist() == []
     assert primes_up_to(2).tolist() == [2]
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    # factorize's trial divisors come from their own stdlib sieve
+    assert scalar._SMALL_PRIMES == tuple(primes_up_to(999).tolist())
 
 
 def test_primes_up_to_refuses_above_its_ceiling(monkeypatch):

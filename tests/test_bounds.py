@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from x0genus.arith import factorize
 from x0genus.bounds import (
     bound_reports,
     check_bounds_range,
@@ -14,7 +13,8 @@ from x0genus.bounds import (
     mu_over_12_bound_check,
     mu_over_12_violations,
 )
-from x0genus.genus import breakdown_block, genus
+from x0genus.genus import breakdown_block
+from x0genus.scalar import factorize, genus
 from oracles import lower_bound, lower_bound_equality, lower_bound_holds, upper_bound
 
 

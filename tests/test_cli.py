@@ -17,18 +17,18 @@ import jsonschema
 import numpy as np
 import pytest
 
-from x0genus import bounds, cli as cli_module, genus as genus_module, stats, values
-from x0genus.arith import Factorization
+from x0genus import (bounds, cli as cli_module, genus as genus_module, scalar as scalar_module,
+                     stats, values)
 from x0genus.cli import SCHEMAS, main
-from x0genus.genus import (
+from x0genus.genus import SEGMENT, GenusBlock, breakdown_block
+from x0genus.scalar import (
     LEVEL_MAX,
-    SEGMENT,
-    GenusBlock,
-    breakdown_block,
+    S_MAX,
+    Factorization,
     breakdown_from_factorization,
     genus,
 )
-from x0genus.stats import S_MAX, flagged_residue_classes
+from x0genus.stats import flagged_residue_classes
 import oracles
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -312,9 +312,11 @@ def test_usage_errors_exit_2():
 
 
 def test_consistency_fault_exits_3(monkeypatch):
-    # one cusp too many at every prime power breaks the genus identity
-    theta = genus_module.theta
-    monkeypatch.setattr(genus_module, "theta", lambda p, r: theta(p, r) + 1)
+    # one cusp too many at every prime power breaks the genus identity, on
+    # the scalar route (genus) and in the block sieve (table)
+    theta = scalar_module.theta
+    for module in (scalar_module, genus_module):
+        monkeypatch.setattr(module, "theta", lambda p, r: theta(p, r) + 1)
     for argv in (["genus", "11"], ["table", "--max", "100"]):
         code, out, err = run(argv)
         assert code == 3, argv
@@ -437,13 +439,14 @@ def test_table_bytes_equal_the_row_format_reference(fmt, dest, monkeypatch, tmp_
     # the reference writer formats every row with %d, over the very blocks
     # that the command's one iter_blocks pass handed it
     blocks = []
+    original = genus_module.iter_blocks
 
     def recording(lo, hi, *args, **kwargs):
-        for blk in genus_module.iter_blocks(lo, hi, *args, **kwargs):
+        for blk in original(lo, hi, *args, **kwargs):
             blocks.append(blk)
             yield blk
 
-    monkeypatch.setattr(cli_module, "iter_blocks", recording)
+    monkeypatch.setattr(genus_module, "iter_blocks", recording)
     text = _stdout_or_file(["table", "--max", str(TABLE_ACROSS_CUT), "--format", fmt], dest,
                            tmp_path)
     assert [(b.lo, b.hi) for b in blocks] == [(1, SEGMENT), (SEGMENT + 1, TABLE_ACROSS_CUT)]
@@ -504,6 +507,35 @@ def test_digit_table_is_built_on_first_use():
                           env=checkout_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 1 1 1 1 0\n2 3 1 0 2 0\n3 4 0 1 2 0\n"
+
+
+def test_genus_command_never_loads_numpy():
+    # the genus command, --help and a usage error run on the stdlib and
+    # x0genus.scalar alone; the first table in the same process loads numpy
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "from x0genus.cli import main\n"
+        "def exit_code(argv):\n"
+        "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            main(argv)\n"
+        "        except SystemExit as e:\n"
+        "            return e.code\n"
+        "assert main(['genus', '1000000007']) == 0\n"
+        "assert exit_code(['--help']) == 0\n"
+        "assert exit_code(['frobnicate']) == 2\n"
+        "heavy = {'numpy', 'x0genus.arith', 'x0genus.genus', 'x0genus.stats', 'x0genus.values',\n"
+        "         'x0genus.bounds'}\n"
+        "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
+        "assert main(['table', '--max', '3']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=checkout_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("n=1000000007\nmu=1000000008\nnu2=0\nnu3=0\nnu_inf=2\ngenus=83333334\n"
+                           "1 1 1 1 1 0\n2 3 1 0 2 0\n3 4 0 1 2 0\n")
 
 
 def _run_bounds_command():

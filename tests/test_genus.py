@@ -15,18 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import x0genus.genus as genus_module
-from x0genus.arith import Factorization, primes_up_to, require_primes_up_to
-from x0genus.genus import (
+import x0genus.scalar as scalar_module
+from x0genus.arith import primes_up_to, require_primes_up_to
+from x0genus.genus import PERIOD, SEGMENT, SMALL_PRIME_LIMIT, breakdown_block, iter_blocks
+from x0genus.scalar import (
     LEVEL_MAX,
-    PERIOD,
-    SEGMENT,
-    SMALL_PRIME_LIMIT,
     ConsistencyError,
+    Factorization,
     GenusBreakdown,
-    breakdown_block,
     breakdown_from_factorization,
     genus,
-    iter_blocks,
     theta,
 )
 import oracles
@@ -175,7 +173,8 @@ def test_levels_above_level_max_refused(monkeypatch):
 def test_planted_cusp_fault_raises_consistency_error(monkeypatch):
     # one cusp too many at every prime power breaks 12 | mu - 3nu2 - 4nu3 - 6nu_inf
     # (at n = 11: 12 - 6*3 + 12 = 6), on the scalar route and in the block sieve
-    monkeypatch.setattr(genus_module, "theta", lambda p, r: theta(p, r) + 1)
+    for module in (scalar_module, genus_module):
+        monkeypatch.setattr(module, "theta", lambda p, r: theta(p, r) + 1)
     with pytest.raises(ConsistencyError):
         genus(11)
     with pytest.raises(ConsistencyError):

@@ -1,16 +1,20 @@
-"""Dead-import and dead-code guards: stdlib stand-ins for a linter.
+"""Dead-import, dead-code and import-boundary guards: stdlib stand-ins for a linter.
 
-Every module of the package reads each name it imports, and the package's
-__init__ is its docstring alone, so each name has one import path.  Every
+Every module of the package reads each name it imports, or perfbench reads
+it through that module, and the package's __init__ is its docstring alone,
+so each name has one import path.  Every
 top-level definition of the package is reached from what a command, a gate
 or the benchmark reads, so code that only tests read lives in
 tests/oracles.py.  Every parameter of a function or lambda is read by its
 body, but for the few the benchmark still passes.  No module takes
 another module's underscore name.  In cli.py only main opens, writes or
-flushes output; every command yields its text.
+flushes output; every command yields its text.  scalar.py imports the
+standard library alone, and importing cli.py loads nothing else but
+scalar.py, so that a genus command never loads numpy.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "x0genus"
 MODULES = sorted(PACKAGE.glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -31,11 +36,26 @@ def imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_import_is_read(path):
+def unread_imports(path: Path) -> set[str]:
+    """The names a module imports that neither it nor perfbench reads.
+
+    perfbench reading a name through the module (genus_mod.genus) counts.
+    """
     tree = ast.parse(path.read_text(encoding="utf-8"))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    assert imported_names(tree) - read == set()
+    read |= {name for module, name in reads_of(PERFBENCH) if module == path.stem}
+    return imported_names(tree) - read
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unread_imports(path) == set()
+
+
+def test_an_unread_import_is_found(tmp_path):
+    # genus is read through the genus module by perfbench, not through stats
+    package = plant(tmp_path, "\n\nfrom math import tau\nfrom .scalar import genus\n")
+    assert unread_imports(package / "stats.py") == {"tau", "genus"}
 
 
 def test_package_init_is_its_docstring_alone():
@@ -88,6 +108,15 @@ def _reads(node: ast.AST, names: dict, modules: dict) -> set[tuple[str, str]]:
     return out
 
 
+def reads_of(paths) -> set[tuple[str, str]]:
+    """(module, name) of every package name that the files at paths read."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= _reads(tree, *_package_names(tree))
+    return found
+
+
 def _defined(stmt: ast.stmt) -> list[str]:
     """The names a top-level statement defines, the module protocol's dunders aside."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -123,10 +152,7 @@ def package_graph(package: Path = PACKAGE) -> tuple[dict, set]:
 def unreached(package: Path = PACKAGE) -> list[str]:
     """The package's top-level definitions that no command, gate or benchmark reaches."""
     edges, roots = package_graph(package)
-    roots |= {("cli", "main"), ("cli", "SCHEMAS")}
-    for path in [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        roots |= _reads(tree, *_package_names(tree))
+    roots |= {("cli", "main")} | reads_of([ROOT / "tests" / "test_acceptance.py", *PERFBENCH])
     reached, todo = set(), list(roots)
     while todo:
         node = todo.pop()
@@ -252,3 +278,46 @@ def test_an_output_call_outside_main_is_found(tmp_path):
     assert output_calls(package) == {("planted", "open"), ("planted", "write"),
                                      ("planted", "flush"), ("planted", "sys.stdout"),
                                      ("planted", "writelines")}
+
+
+def nonstdlib_imports(path: Path, at_import: bool = False) -> set[str]:
+    """The modules outside the standard library that a module's imports name.
+
+    A relative import is named with its dots (".scalar", and "from . import
+    stats" as ".stats").  With at_import, the imports in function bodies,
+    which run only when the function is called, are left out.
+    """
+    found, todo = set(), [ast.parse(path.read_text(encoding="utf-8"))]
+    while todo:
+        node = todo.pop()
+        if at_import and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            found |= {dots + node.module} if node.module else {dots + a.name for a in node.names}
+        todo.extend(ast.iter_child_nodes(node))
+    return {m for m in found if m.split(".")[0] not in sys.stdlib_module_names}
+
+
+def test_scalar_imports_the_stdlib_alone():
+    assert nonstdlib_imports(PACKAGE / "scalar.py") == set()
+
+
+def test_a_nonstdlib_import_in_scalar_is_found(tmp_path):
+    code = "\n\nfrom . import arith\n\n\ndef planted():\n    import numpy as np\n    return np\n"
+    package = plant(tmp_path, code, "scalar.py")
+    assert nonstdlib_imports(package / "scalar.py") == {".arith", "numpy"}
+
+
+def test_cli_loads_scalar_alone_at_import():
+    assert nonstdlib_imports(PACKAGE / "cli.py", at_import=True) == {".scalar"}
+
+
+def test_an_import_at_cli_import_is_found(tmp_path):
+    # a command's own import runs at its call and is not one
+    code = ("\n\nimport numpy as np\nif np:\n    from .genus import iter_blocks\n\n\n"
+            "def planted():\n    from . import stats\n    return stats, iter_blocks\n")
+    package = plant(tmp_path, code, "cli.py")
+    assert nonstdlib_imports(package / "cli.py", at_import=True) == {".scalar", "numpy", ".genus"}

@@ -12,11 +12,11 @@ import sympy
 
 from x0genus import stats
 from x0genus.arith import primes_in_progression, primes_up_to
-from x0genus.genus import LEVEL_MAX, SEGMENT, breakdown_block, genus
+from x0genus.genus import SEGMENT, breakdown_block
+from x0genus.scalar import LEVEL_MAX, S_MAX, genus
 from x0genus.stats import (
     AVG_RATIO_TARGET,
     MU_RATIO_BELOW_FOUR_LIMIT,
-    S_MAX,
     SQUAREFREE_MAX,
     _bisect,
     _genus_residue_counts,

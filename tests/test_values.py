@@ -6,20 +6,18 @@ import re
 import numpy as np
 import pytest
 
-from x0genus.arith import factorize, primes_up_to
+from x0genus.arith import primes_up_to
 from x0genus.values import (
     EXCEPTIONAL_EVEN_LEVELS,
-    DEFAULT_SCAN_CAPACITY,
-    MISSED_MAX,
     attained_genera,
     family_members,
     missed_values,
     odd_prime_counts,
     power_of_two_congruence_check,
-    scan_limit_for,
     verify_parity_classification,
 )
-from x0genus.genus import LEVEL_MAX, SEGMENT, genus
+from x0genus.genus import SEGMENT
+from x0genus.scalar import DEFAULT_SCAN_CAPACITY, LEVEL_MAX, MISSED_MAX, factorize, genus, scan_limit_for
 from oracles import build_spf_table, even_attained_count, even_genus_family
 
 
