@@ -703,3 +703,65 @@ def test_command_that_prints_nothing_leaves_an_empty_file(tmp_path):
     target.unlink()
     assert run(["missed", "--max", "100", "--output", str(target)])[0] == 0
     assert target.read_bytes() == b""
+
+
+def planted_breakdown_block(original):
+    """breakdown_block with three faults planted in the genus it returns.
+
+    Genus 0 at N = 1000 breaks the lower bound, mu // 12 + 1 at N = 5000
+    breaks 12*g0(N) <= mu(N), and one more at N = 169 = 13**2 takes that
+    level out of the equality cases.  The first and last flip the parity.
+    """
+    def faulty(lo, hi, primes=None):
+        blk = original(lo, hi, primes)
+        for n, fault in ((1000, lambda g, mu: 0), (5000, lambda g, mu: mu // 12 + 1),
+                         (169, lambda g, mu: g + 1)):
+            if lo <= n <= hi:
+                blk.genus[n - lo] = fault(int(blk.genus[n - lo]), int(blk.mu[n - lo]))
+        return blk
+    return faulty
+
+
+FALSE_VERDICTS = {
+    ("bounds", "plain"): "max=6000\nviolations=1\nmu_over_12_violations=1\nok=false\n"
+                         "equality=1369\nequality=3721\nequality=5329\n",
+    ("bounds", "csv"): "kind,n\nviolation,1000\nmu_over_12_violation,5000\n"
+                       "equality,1369\nequality,3721\nequality,5329\n",
+    ("bounds", "json"): '{\n  "max": 6000,\n  "violations": [\n    1000\n  ],\n'
+                        '  "mu_over_12_violations": [\n    5000\n  ],\n'
+                        '  "equality_levels": [\n    1369,\n    3721,\n    5329\n  ],\n'
+                        '  "expected_equality_levels": [\n    169,\n    1369,\n    3721,\n'
+                        '    5329\n  ],\n  "ok": false\n}\n',
+    ("parity", "plain"): "max=6000\nmismatches=2\nok=false\nmismatch=169\nmismatch=1000\n",
+    ("parity", "csv"): "n\n169\n1000\n",
+    ("parity", "json"): '{\n  "max": 6000,\n  "mismatches": [\n    169,\n    1000\n  ],\n'
+                        '  "ok": false\n}\n',
+    ("dirichlet", "plain"): "s=2\nn_terms=1000000\nlhs=1.944594917\nrhs=1.943596437\n"
+                            "gap=0.0009984801835\ntail_bound=4.00013973e-06\n"
+                            "rhs_error=2.309419387e-27\nok=false\n",
+    ("dirichlet", "csv"): "s,n_terms,lhs,rhs,gap,tail_bound,rhs_error,ok\n"
+                          "2,1000000,1.944594917,1.943596437,0.0009984801835,"
+                          "4.00013973e-06,2.309419387e-27,false\n",
+    ("dirichlet", "json"): '{\n  "s": 2.0,\n  "n_terms": 1000000,\n  "lhs": 1.944594917,\n'
+                           '  "rhs": 1.943596437,\n  "gap": 0.0009984801835,\n'
+                           '  "tail_bound": 4.00013973e-06,\n  "rhs_error": 2.309419387e-27,\n'
+                           '  "ok": false\n}\n',
+}
+
+
+@pytest.mark.parametrize("command, fmt", FALSE_VERDICTS)
+def test_false_verdict_bytes(monkeypatch, command, fmt):
+    # the bytes of a failing verdict, pinned as the golden files pin passing ones
+    if command == "dirichlet":
+        original = stats.dirichlet_F
+        monkeypatch.setattr(stats, "dirichlet_F", lambda s, n: original(s, n) + 1e-3)
+        argv = ["dirichlet", "--s", "2"]
+    else:
+        monkeypatch.setattr(genus_module, "breakdown_block",
+                            planted_breakdown_block(genus_module.breakdown_block))
+        argv = [command, "--max", "6000"]
+    code, out, err = run(argv + ["--format", fmt])
+    assert (code, err) == (0, "")
+    assert out == FALSE_VERDICTS[command, fmt]
+    if fmt == "json":
+        jsonschema.validate(json.loads(out), SCHEMAS[command])
