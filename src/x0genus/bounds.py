@@ -18,7 +18,8 @@ Its coefficient is sharp: the limsup of g0(N)/(N loglog N), approached
 along the primorials, equals e**gamma/(2*pi**2).
 
 bound_reports decides both verdicts for a block; the scalar forms of the
-two bounds, one level at a time, are the test oracles it is checked against."""
+two bounds, one level at a time, are the test oracles it is checked against.
+bounds_verdict decides both, and 12*g0(N) <= mu(N), for 1..hi in one pass."""
 
 from __future__ import annotations
 
@@ -43,6 +44,34 @@ class BoundsReport:
     genus: int
     lower_equality: bool
     is_violation: bool  # below the lower bound, or for n > 2 at or above the upper
+
+
+@dataclass(frozen=True)
+class BoundsVerdict:
+    """The bound checks over the levels 1..max, decided by bounds_verdict."""
+
+    max: int
+    violations: tuple[int, ...]
+    mu_over_12_violations: tuple[int, ...]
+    equality_levels: tuple[int, ...]
+    expected_equality_levels: tuple[int, ...]
+    ok: bool
+
+
+def bounds_verdict(hi: int) -> BoundsVerdict:
+    """Both bounds and 12*g0(N) <= mu(N) over [1, hi], from one pass.
+
+    ok: no level breaks any of them, and the equality cases are exactly
+    the squares of primes p = 1 (mod 12) up to hi."""
+    reports, mu12 = [], []
+    for blk in iter_blocks(1, hi):
+        reports += bound_reports(blk)
+        mu12 += mu_over_12_violations(blk)
+    violations = tuple(r.n for r in reports if r.is_violation)
+    equality = tuple(r.n for r in reports if r.lower_equality)
+    expected = tuple(expected_equality_levels(1, hi))
+    ok = not violations and not mu12 and equality == expected
+    return BoundsVerdict(hi, violations, tuple(mu12), equality, expected, ok)
 
 
 def mu_over_12_bound_check(lo: int, hi: int) -> list[int]:

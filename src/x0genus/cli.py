@@ -72,24 +72,15 @@ def __getattr__(name: str) -> Any:
     from the result type it prints.  json output validates against these."""
     if name != "SCHEMAS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import stats, values
-    schemas = globals()["SCHEMAS"] = {
-        "genus": _schema(get_type_hints(GenusBreakdown)),
-        "table": _schema(
-            {"max": int, "columns": tuple[str, ...], "rows": {"type": "array", "items": _TABLE_ROW}}
-        ),
-        "missed": _schema(get_type_hints(values.MissedValuesReport)),
-        "parity": _schema({"max": int, "mismatches": tuple[int, ...], "ok": bool}),
-        "bounds": _schema({"max": int, "violations": tuple[int, ...],
-                           "mu_over_12_violations": tuple[int, ...],
-                           "equality_levels": tuple[int, ...],
-                           "expected_equality_levels": tuple[int, ...], "ok": bool}),
-        "average": _schema(get_type_hints(stats.AverageReport)),
-        "density": _schema(get_type_hints(stats.ResidueDensity)),
-        "histogram": _schema(get_type_hints(stats.ResidueHistogram)),
-        "constants": _schema(get_type_hints(stats.AsymptoticConstants)),
-        "dirichlet": _schema(get_type_hints(stats.DirichletCheck) | {"ok": bool}),
-    }
+    from . import bounds, stats, values
+    types = {"genus": GenusBreakdown, "missed": values.MissedValuesReport,
+             "parity": values.ParityVerdict, "bounds": bounds.BoundsVerdict,
+             "average": stats.AverageReport, "density": stats.ResidueDensity,
+             "histogram": stats.ResidueHistogram, "constants": stats.AsymptoticConstants,
+             "dirichlet": stats.DirichletCheck}
+    schemas = globals()["SCHEMAS"] = {cmd: _schema(get_type_hints(t)) for cmd, t in types.items()}
+    schemas["table"] = _schema(
+        {"max": int, "columns": tuple[str, ...], "rows": {"type": "array", "items": _TABLE_ROW}})
     return schemas
 
 
@@ -233,43 +224,23 @@ def _cmd_missed(args: argparse.Namespace) -> Iterator[str]:
 
 def _cmd_parity(args: argparse.Namespace) -> Iterator[str]:
     from . import values
-    mismatches = values.verify_parity_classification(args.max)
-    ok = not mismatches
-    record = {"max": args.max, "mismatches": mismatches, "ok": ok}
-    plain = [f"max={args.max}", f"mismatches={len(mismatches)}", f"ok={_fmt(ok, args.precision)}"]
-    plain += [f"mismatch={n}" for n in mismatches]
-    yield from _emit(args, record, ("n",), ((n,) for n in mismatches), plain)
+    v = values.parity_verdict(args.max)
+    plain = [f"max={v.max}", f"mismatches={len(v.mismatches)}", f"ok={_fmt(v.ok, args.precision)}"]
+    plain += [f"mismatch={n}" for n in v.mismatches]
+    yield from _emit(args, asdict(v), ("n",), ((n,) for n in v.mismatches), plain)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Iterator[str]:
     from . import bounds
-    from .genus import iter_blocks
-    reports, mu12 = [], []
-    for blk in iter_blocks(1, args.max):
-        reports += bounds.bound_reports(blk)
-        mu12 += bounds.mu_over_12_violations(blk)
-    violations = [r.n for r in reports if r.is_violation]
-    equality = [r.n for r in reports if r.lower_equality]
-    expected = bounds.expected_equality_levels(1, args.max)
-    ok = not violations and not mu12 and equality == expected
-    record = {
-        "max": args.max,
-        "violations": violations,
-        "mu_over_12_violations": mu12,
-        "equality_levels": equality,
-        "expected_equality_levels": expected,
-        "ok": ok,
-    }
-    rows = [("violation", n) for n in violations] + [("mu_over_12_violation", n) for n in mu12]
-    rows += [("equality", n) for n in equality]
-    plain = [
-        f"max={args.max}",
-        f"violations={len(violations)}",
-        f"mu_over_12_violations={len(mu12)}",
-        f"ok={_fmt(ok, args.precision)}",
-    ]
-    plain += [f"equality={n}" for n in equality]
-    yield from _emit(args, record, ("kind", "n"), rows, plain)
+    v = bounds.bounds_verdict(args.max)
+    rows = [("violation", n) for n in v.violations]
+    rows += [("mu_over_12_violation", n) for n in v.mu_over_12_violations]
+    rows += [("equality", n) for n in v.equality_levels]
+    plain = [f"max={v.max}", f"violations={len(v.violations)}",
+             f"mu_over_12_violations={len(v.mu_over_12_violations)}",
+             f"ok={_fmt(v.ok, args.precision)}"]
+    plain += [f"equality={n}" for n in v.equality_levels]
+    yield from _emit(args, asdict(v), ("kind", "n"), rows, plain)
 
 
 def _cmd_average(args: argparse.Namespace) -> Iterator[str]:
@@ -306,8 +277,7 @@ def _cmd_constants(args: argparse.Namespace) -> Iterator[str]:
 
 def _cmd_dirichlet(args: argparse.Namespace) -> Iterator[str]:
     from . import stats
-    chk = stats.zeta_identity_check(args.s)
-    yield from _emit(args, asdict(chk) | {"ok": chk.ok})
+    yield from _emit(args, asdict(stats.zeta_identity_check(args.s)))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -191,11 +191,7 @@ class DirichletCheck:
     gap: float
     tail_bound: float
     rhs_error: float
-
-    @property
-    def ok(self) -> bool:
-        # 1e-11 covers float accumulation in the partial sum
-        return self.gap <= self.tail_bound + self.rhs_error + 1e-11 * (1.0 + abs(self.rhs))
+    ok: bool
 
 
 def zeta_identity_check(s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS) -> DirichletCheck:
@@ -210,15 +206,10 @@ def zeta_identity_check(s: float, n_terms: int = DEFAULT_DIRICHLET_TERMS) -> Dir
     z3, e3 = zeta_with_error(2.0 * s + 2.0)
     rhs = z1 * z2 / z3
     rhs_error = abs(rhs) * (e1 / z1 + e2 / z2 + e3 / z3)
-    return DirichletCheck(
-        s=s,
-        n_terms=n_terms,
-        lhs=lhs,
-        rhs=rhs,
-        gap=abs(rhs - lhs),
-        tail_bound=dirichlet_tail_bound(s, n_terms),
-        rhs_error=rhs_error,
-    )
+    gap, tail_bound = abs(rhs - lhs), dirichlet_tail_bound(s, n_terms)
+    # 1e-11 covers float accumulation in the partial sum
+    ok = gap <= tail_bound + rhs_error + 1e-11 * (1.0 + abs(rhs))
+    return DirichletCheck(s, n_terms, lhs, rhs, gap, tail_bound, rhs_error, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ whose scan_limit_for fits in DEFAULT_SCAN_CAPACITY levels.
 Parity is governed by a short classification: g0(N) is even exactly when N
 falls in one of six explicit families (small exceptional levels, four
 prime-power shapes, and two 2*p**r / 4*p**r shapes).  family_members
-enumerates each block's members constructively, and the parity check
+enumerates each block's members constructively, and parity_verdict
 compares them with the genus parity block by block.
 
 Levels divisible by more than two distinct odd primes satisfy the stronger
@@ -126,6 +126,21 @@ def verify_parity_classification(limit: int) -> list[int]:
     primes = primes_up_to(limit)
     return [n for b in iter_blocks(1, limit)
             for n in b.where((b.genus % 2 == 0) != family_members(b.lo, b.hi, primes))]
+
+
+@dataclass(frozen=True)
+class ParityVerdict:
+    """The parity classification checked over the levels 1..max."""
+
+    max: int
+    mismatches: tuple[int, ...]
+    ok: bool
+
+
+def parity_verdict(limit: int) -> ParityVerdict:
+    """verify_parity_classification over [1, limit]: ok when no level mismatches."""
+    mismatches = tuple(verify_parity_classification(limit))
+    return ParityVerdict(limit, mismatches, not mismatches)
 
 
 def odd_prime_counts(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:

@@ -50,15 +50,15 @@ def test_c02_parity_classification_at_1e6():
 
 
 def test_c03_bounds_at_1e6(genus_1e6):
-    reports = bounds.check_bounds_range(1, 10**6)
-    violations = [r.n for r in reports if r.is_violation]
-    equality = [r.n for r in reports if r.lower_equality]
-    expected = bounds.expected_equality_levels(1, 10**6)
+    verdict = bounds.bounds_verdict(10**6)
+    violations, equality = verdict.violations, verdict.equality_levels
+    expected = tuple(bounds.expected_equality_levels(1, 10**6))
     mu12_bad = int(np.count_nonzero(12 * genus_1e6.genus > genus_1e6.mu))
     ok = (
-        violations == []
-        and equality == expected
-        and equality[:5] == [169, 1369, 3721, 5329, 9409]
+        verdict.ok
+        and violations == ()
+        and equality == expected == verdict.expected_equality_levels
+        and equality[:5] == (169, 1369, 3721, 5329, 9409)
         and mu12_bad == 0
     )
     _gate(

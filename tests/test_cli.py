@@ -550,9 +550,11 @@ ONE_PASS = {
     "cli-bounds": (_run_bounds_command, (1, 140000)),
     "check_bounds_range": (lambda: bounds.check_bounds_range(5, H), (5, H)),
     "mu_over_12_bound_check": (lambda: bounds.mu_over_12_bound_check(5, H), (5, H)),
+    "bounds_verdict": (lambda: bounds.bounds_verdict(H), (1, H)),
     "attained_genera": (lambda: values.attained_genera(1000), (1, values.scan_limit_for(1000))),
     "missed_values": (lambda: values.missed_values(1000), (1, values.scan_limit_for(1000))),
     "verify_parity_classification": (lambda: values.verify_parity_classification(H), (1, H)),
+    "parity_verdict": (lambda: values.parity_verdict(H), (1, H)),
     "power_of_two_congruence_check": (lambda: values.power_of_two_congruence_check(H), (1, H)),
     "average_partial": (lambda: stats.average_partial(H), (1, H)),
     "dirichlet_F": (lambda: stats.dirichlet_F(2.0, H), (1, H)),
@@ -589,7 +591,9 @@ BOUNDED = {
     "cli-bounds": (lambda b: list(cli_module._cmd_bounds(argparse.Namespace(max=b))), 1),
     "check_bounds_range": (lambda b: bounds.check_bounds_range(5, b), 5),
     "mu_over_12_bound_check": (lambda b: bounds.mu_over_12_bound_check(5, b), 5),
+    "bounds_verdict": (bounds.bounds_verdict, 1),
     "verify_parity_classification": (values.verify_parity_classification, 1),
+    "parity_verdict": (values.parity_verdict, 1),
     "power_of_two_congruence_check": (values.power_of_two_congruence_check, 1),
     "average_partial": (stats.average_partial, 1),
     "dirichlet_F": (lambda b: stats.dirichlet_F(2.0, b), 1),

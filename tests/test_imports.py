@@ -8,7 +8,8 @@ or the benchmark reads, so code that only tests read lives in
 tests/oracles.py.  Every parameter of a function or lambda is read by its
 body, but for the few the benchmark still passes.  No module takes
 another module's underscore name.  In cli.py only main opens, writes or
-flushes output; every command yields its text.  scalar.py imports the
+flushes output; every command yields its text, and prints the asdict of
+a result type, never a record built by hand.  scalar.py imports the
 standard library alone, and importing cli.py loads nothing else but
 scalar.py, so that a genus command never loads numpy.
 """
@@ -278,6 +279,37 @@ def test_an_output_call_outside_main_is_found(tmp_path):
     assert output_calls(package) == {("planted", "open"), ("planted", "write"),
                                      ("planted", "flush"), ("planted", "sys.stdout"),
                                      ("planted", "writelines")}
+
+
+def hand_built_records(package: Path = PACKAGE) -> set[tuple[str, str]]:
+    """(function, record) of every _emit call in cli.py whose record is not asdict(...)."""
+    found = set()
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for n in ast.walk(func):
+            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "_emit"):
+                continue
+            record = n.args[1] if len(n.args) > 1 else next(
+                (k.value for k in n.keywords if k.arg == "record"), None)
+            if not (isinstance(record, ast.Call) and isinstance(record.func, ast.Name)
+                    and record.func.id == "asdict"):
+                found.add((func.name, ast.unparse(record) if record else "<none>"))
+    return found
+
+
+def test_every_cli_record_is_a_result_type():
+    assert hand_built_records() == set()
+
+
+def test_a_hand_built_record_is_found(tmp_path):
+    code = ("\n\ndef planted(args):\n    yield from _emit(args, {'ok': True})\n"
+            "    yield from _emit(args, record=asdict(replace(x)) | {'ok': True})\n")
+    package = plant(tmp_path, code, "cli.py")
+    assert hand_built_records(package) == {("planted", "{'ok': True}"),
+                                           ("planted", "asdict(replace(x)) | {'ok': True}")}
 
 
 def nonstdlib_imports(path: Path, at_import: bool = False) -> set[str]:
